@@ -3,12 +3,24 @@ sparse multivectors with the geometric, outer, and inner products.
 
 Basis blades are encoded as integer bitmasks: bit i (counting from 0)
 set means basis vector e_(i+1) is a factor, so e13 is 0b101 and the
-scalar blade is 0. Products of basis blades reorder factors into the
-ascending canonical order by counting transpositions, so every basis
-coefficient stays an exact +1 or -1 and shared factors contract through
-the metric. Multivectors are immutable sparse maps from blade bitmask
-to float; coefficients that become exactly zero are dropped, which
-keeps the stored form canonical.
+scalar blade is 0 (Dorst, Fontijne & Mann, *Geometric Algebra for
+Computer Science*, ch. 19). Products of basis blades reorder factors
+into the ascending canonical order by counting transpositions, so every
+basis coefficient stays an exact +1 or -1 and shared factors contract
+through the metric. Multivectors are immutable sparse maps from blade
+bitmask to float; coefficients that become exactly zero are dropped,
+which keeps the stored form canonical.
+
+The sign of a blade product a*b comes from one mask per left blade a.
+Merging the factor lists moves every factor j of b past the factors of
+a above position j, and every factor shared at position >= p squares to
+-1. So bit j of the mask is set when an odd number of a's factors sit
+above j, XORed with a's factors at positions >= p (``a >> p << p``);
+then a*b = (-1)^popcount(b & mask) e_(a XOR b). The mask needs no table,
+so it costs the same at every dimension. ``*``, ``^`` and ``|`` share
+one product loop that computes the mask once per left term; ``^`` keeps
+the pairs with no shared factor, ``|`` the pairs where one blade
+contains the other (a scalar only pairs with a scalar).
 
 All operations are pure functions of immutable values, so instances can
 be shared freely across threads.
@@ -157,6 +169,22 @@ def _check_bits(sig: Signature, bits: int) -> None:
         raise AlgebraError(f"blade {bin(bits)} does not fit in {sig}")
 
 
+def _sign_mask(a: int, p: int) -> int:
+    """Mask m of left blade a such that a*b has sign (-1)^popcount(b & m).
+
+    Bit j is the parity of a's factors above position j (the
+    transpositions factor j of b makes), XORed with a's factors at
+    positions >= p (shared ones square to -1).
+    """
+    m = a >> 1
+    # suffix parity by doubling; four steps cover 16 >= MAX_DIM bits
+    m ^= m >> 1
+    m ^= m >> 2
+    m ^= m >> 4
+    m ^= m >> 8
+    return m ^ (a >> p << p)
+
+
 def blade_product(sig: Signature, a: int, b: int) -> tuple[int, int]:
     """Geometric product of two basis blades as (sign, result bitmask).
 
@@ -166,16 +194,7 @@ def blade_product(sig: Signature, a: int, b: int) -> tuple[int, int]:
     """
     _check_bits(sig, a)
     _check_bits(sig, b)
-    swaps = 0
-    rest = a >> 1
-    while rest:
-        swaps += (rest & b).bit_count()
-        rest >>= 1
-    sign = -1 if swaps & 1 else 1
-    # shared indices at position >= p square to -1
-    if ((a & b) >> sig.p).bit_count() & 1:
-        sign = -sign
-    return sign, a ^ b
+    return (-1 if (b & _sign_mask(a, sig.p)).bit_count() & 1 else 1), a ^ b
 
 
 def _sort_key(bits: int) -> tuple[int, int]:
@@ -185,6 +204,11 @@ def _sort_key(bits: int) -> tuple[int, int]:
 def canonical_blades(sig: Signature) -> list[int]:
     """All blade bitmasks of the algebra, sorted by grade then index."""
     return sorted(range(1 << sig.dim), key=_sort_key)
+
+
+# product kinds of Multivector._product; _GP is 0 so that its loop
+# tests the kind once per pair
+_GP, _OUTER, _INNER = 0, 1, 2
 
 
 def _reverse_sign(grade: int) -> int:
@@ -220,6 +244,16 @@ class Multivector:
                 cleaned[bits] = value
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "_terms", cleaned)
+
+    @classmethod
+    def _trusted(cls, sig: Signature, terms: dict[int, float]) -> "Multivector":
+        """Build from float terms on blades of sig that derive from
+        validated operands: skips the bit and float checks, still drops
+        exact zeros."""
+        mv = object.__new__(cls)
+        object.__setattr__(mv, "sig", sig)
+        object.__setattr__(mv, "_terms", {b: c for b, c in terms.items() if c != 0.0})
+        return mv
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -323,18 +357,38 @@ class Multivector:
     def __pos__(self):
         return self
 
+    def _product(self, rhs: "Multivector", kind: int) -> "Multivector":
+        """The one product loop behind ``*``, ``^`` and ``|``."""
+        right = list(rhs._terms.items())
+        out: dict[int, float] = {}
+        get = out.get
+        p = self.sig.p
+        for a, ca in self._terms.items():
+            mask = _sign_mask(a, p)
+            for b, cb in right:
+                if kind:
+                    common = a & b
+                    if kind == _OUTER:
+                        if common:
+                            continue  # a shared factor drops the grade below r+s
+                    # the blade product has grade |r-s| only when one blade
+                    # contains the other; a scalar pairs only with a scalar
+                    elif (common != a and common != b) or (a == 0) != (b == 0):
+                        continue
+                bits = a ^ b
+                value = ca * cb
+                if (b & mask).bit_count() & 1:
+                    value = -value
+                out[bits] = get(bits, 0.0) + value
+        return Multivector._trusted(self.sig, out)
+
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return Multivector(self.sig, {b: c * other for b, c in self._terms.items()})
         rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
-        out: dict[int, float] = {}
-        for a, ca in self._terms.items():
-            for b, cb in rhs._terms.items():
-                sign, bits = blade_product(self.sig, a, b)
-                out[bits] = out.get(bits, 0.0) + sign * ca * cb
-        return Multivector(self.sig, out)
+        return self._product(rhs, _GP)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float)):
@@ -346,14 +400,7 @@ class Multivector:
         rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
-        out: dict[int, float] = {}
-        for a, ca in self._terms.items():
-            for b, cb in rhs._terms.items():
-                if a & b:
-                    continue  # a shared factor drops the grade below r+s
-                sign, bits = blade_product(self.sig, a, b)
-                out[bits] = out.get(bits, 0.0) + sign * ca * cb
-        return Multivector(self.sig, out)
+        return self._product(rhs, _OUTER)
 
     def __rxor__(self, other):
         if isinstance(other, (int, float)):
@@ -371,22 +418,7 @@ class Multivector:
         rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
-        out: dict[int, float] = {}
-        for a, ca in self._terms.items():
-            ga = a.bit_count()
-            for b, cb in rhs._terms.items():
-                gb = b.bit_count()
-                if ga == 0 or gb == 0:
-                    if ga == 0 and gb == 0:
-                        out[0] = out.get(0, 0.0) + ca * cb
-                    continue
-                # the blade product has grade |ga-gb| only when one
-                # blade contains the other
-                if (a ^ b).bit_count() != abs(ga - gb):
-                    continue
-                sign, bits = blade_product(self.sig, a, b)
-                out[bits] = out.get(bits, 0.0) + sign * ca * cb
-        return Multivector(self.sig, out)
+        return self._product(rhs, _INNER)
 
     def __ror__(self, other):
         if isinstance(other, (int, float)):
@@ -426,8 +458,9 @@ class Multivector:
         for equal blades, so this is a term-diagonal sum; it can be
         negative in mixed signatures."""
         total = 0.0
+        p = self.sig.p
         for bits, c in self._terms.items():
-            sign, _ = blade_product(self.sig, bits, bits)
+            sign = -1 if (bits & _sign_mask(bits, p)).bit_count() & 1 else 1
             total += sign * _reverse_sign(bits.bit_count()) * c * c
         return total
 
@@ -519,8 +552,15 @@ def basis_vectors(sig: Signature) -> list[Multivector]:
 
 
 def _require_vector(name: str, a: Multivector) -> None:
-    if any(bits.bit_count() != 1 for bits in a.terms):
+    if any(bits.bit_count() != 1 for bits in a._terms):
         raise GradeError(f"{name} expects a vector (grade 1), got grades {a.grades()}")
+
+
+def _require_unit_vector(name: str, a: Multivector, tol: float) -> None:
+    _require_vector(name, a)
+    s = dot(a, a)
+    if abs(s - 1.0) > tol:
+        raise GradeError(f"{name} expects a unit vector, got squared length {s!r}")
 
 
 def _components(a: Multivector) -> list[float]:
@@ -535,10 +575,13 @@ def dot(a: Multivector, b: Multivector) -> float:
     if a.sig != b.sig:
         raise SignatureMismatch(f"operands live in different algebras: {a.sig} vs {b.sig}")
     total = 0.0
-    for bits, ca in a.terms.items():
-        cb = b.coeff(bits)
-        if cb != 0.0:
-            total += ca * cb * a.sig.vector_square(bits.bit_length() - 1)
+    p = a.sig.p
+    rhs = b._terms
+    for bits, ca in a._terms.items():
+        cb = rhs.get(bits)
+        if cb is not None:
+            # bits is a single factor; factors at positions >= p square to -1
+            total += -ca * cb if bits >> p else ca * cb
     return total
 
 

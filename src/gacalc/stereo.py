@@ -24,6 +24,7 @@ from gacalc.algebra import (
     Multivector,
     SignatureMismatch,
     SingularError,
+    _require_unit_vector,
     _require_vector,
     dot,
     dual,
@@ -55,9 +56,7 @@ def _pole() -> Multivector:
 def _require_sphere_point(name: str, a: Multivector, tol: float) -> None:
     if a.sig != G3:
         raise SignatureMismatch(f"{name} is defined in G(3,0), got {a.sig}")
-    _require_vector(name, a)
-    if abs(dot(a, a) - 1.0) > tol:
-        raise GradeError(f"{name} expects a unit vector, got squared length {dot(a, a)!r}")
+    _require_unit_vector(name, a, tol)
 
 
 def _require_plane_point(name: str, x: Multivector, tol: float) -> None:

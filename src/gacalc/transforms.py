@@ -17,6 +17,7 @@ from gacalc.algebra import (
     NonBladeError,
     SingularError,
     _NULL_EPS,
+    _require_unit_vector,
     _require_vector,
     dot,
 )
@@ -39,12 +40,6 @@ def _direction_square(name: str, a: Multivector) -> float:
     if abs(s) <= _NULL_EPS:
         raise SingularError(f"{name} requires a direction with nonzero square")
     return s
-
-
-def _require_unit_vector(name: str, a: Multivector, tol: float) -> None:
-    _require_vector(name, a)
-    if abs(dot(a, a) - 1.0) > tol:
-        raise GradeError(f"{name} expects a unit vector, got squared length {dot(a, a)!r}")
 
 
 def project(x: Multivector, a: Multivector) -> Multivector:

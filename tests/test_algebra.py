@@ -85,6 +85,10 @@ def test_blade_product_known_cases():
     assert blade_product(G3, 0b011, 0b011) == (-1, 0)  # e12 e12 = -1
     assert blade_product(G3, 0b111, 0b111) == (-1, 0)  # e123 squares to -1
     assert blade_product(Signature(1, 1), 0b10, 0b10) == (-1, 0)  # e2^2 = -1
+    with pytest.raises(AlgebraError):
+        blade_product(G3, 0b1000, 0b001)  # e4 is outside G(3,0)
+    with pytest.raises(AlgebraError):
+        blade_product(G3, 0b001, -1)
 
 
 @pytest.mark.parametrize("sig", SMALL_SIGNATURES, ids=str)
