@@ -76,6 +76,17 @@ from gacalc.expr import (
     repl_loop,
     tokenize,
 )
-from gacalc.cli import emit_cayley, main, multivector_json, run_script
 
 __version__ = "0.1.0"
+
+_CLI_NAMES = ("emit_cayley", "main", "multivector_json", "run_script")
+
+
+def __getattr__(name: str):
+    # gacalc.cli loads on first use: imported here, it would already sit in
+    # sys.modules when `python -m gacalc.cli` runs it, and runpy warns
+    if name in _CLI_NAMES:
+        from gacalc import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module 'gacalc' has no attribute {name!r}")

@@ -22,6 +22,16 @@ one product loop that computes the mask once per left term; ``^`` keeps
 the pairs with no shared factor, ``|`` the pairs where one blade
 contains the other (a scalar only pairs with a scalar).
 
+Checks sit at the boundary. Values from outside enter through the
+public constructor ``Multivector(sig, terms)`` or its ``scalar``,
+``blade`` and ``vector`` forms, which check every blade against the
+signature and pass every coefficient through ``float()``. Values the
+kernel derives from such operands (products, sums and differences,
+negation, scaling by a number, reverse, grade parts) are built by the
+internal ``Multivector._trusted``, which skips those checks and only
+drops exact zeros; a number lifted to a scalar is passed through
+``float()`` first.
+
 All operations are pure functions of immutable values, so instances can
 be shared freely across threads.
 """
@@ -211,11 +221,6 @@ def canonical_blades(sig: Signature) -> list[int]:
 _GP, _OUTER, _INNER = 0, 1, 2
 
 
-def _reverse_sign(grade: int) -> int:
-    # reversing k factors costs k(k-1)/2 transpositions
-    return -1 if grade % 4 in (2, 3) else 1
-
-
 def _fmt_coeff(value: float) -> str:
     # 17 significant digits always round-trip an IEEE double
     return format(value, ".17g")
@@ -249,7 +254,7 @@ class Multivector:
     def _trusted(cls, sig: Signature, terms: dict[int, float]) -> "Multivector":
         """Build from float terms on blades of sig that derive from
         validated operands: skips the bit and float checks, still drops
-        exact zeros."""
+        exact zeros. Every derived value goes through here."""
         mv = object.__new__(cls)
         object.__setattr__(mv, "sig", sig)
         object.__setattr__(mv, "_terms", {b: c for b, c in terms.items() if c != 0.0})
@@ -302,7 +307,7 @@ class Multivector:
         """Grade-k part; grades absent from the value give zero."""
         if k < 0:
             raise GradeError(f"grade must be nonnegative, got {k}")
-        return Multivector(
+        return Multivector._trusted(
             self.sig, {b: c for b, c in self._terms.items() if b.bit_count() == k}
         )
 
@@ -322,7 +327,9 @@ class Multivector:
                 )
             return other
         if isinstance(other, (int, float)):
-            return Multivector.scalar(self.sig, other)
+            # float() keeps bools out of the terms and raises OverflowError
+            # on ints too large for a double, as the public constructor does
+            return Multivector._trusted(self.sig, {0: float(other)})
         return None
 
     def __add__(self, other):
@@ -332,7 +339,7 @@ class Multivector:
         out = dict(self._terms)
         for bits, c in rhs._terms.items():
             out[bits] = out.get(bits, 0.0) + c
-        return Multivector(self.sig, out)
+        return Multivector._trusted(self.sig, out)
 
     __radd__ = __add__
 
@@ -343,7 +350,7 @@ class Multivector:
         out = dict(self._terms)
         for bits, c in rhs._terms.items():
             out[bits] = out.get(bits, 0.0) - c
-        return Multivector(self.sig, out)
+        return Multivector._trusted(self.sig, out)
 
     def __rsub__(self, other):
         rhs = self._lift(other)
@@ -352,7 +359,7 @@ class Multivector:
         return rhs - self
 
     def __neg__(self):
-        return Multivector(self.sig, {b: -c for b, c in self._terms.items()})
+        return Multivector._trusted(self.sig, {b: -c for b, c in self._terms.items()})
 
     def __pos__(self):
         return self
@@ -384,7 +391,8 @@ class Multivector:
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return Multivector(self.sig, {b: c * other for b, c in self._terms.items()})
+            s = float(other)
+            return Multivector._trusted(self.sig, {b: c * s for b, c in self._terms.items()})
         rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
@@ -404,7 +412,7 @@ class Multivector:
 
     def __rxor__(self, other):
         if isinstance(other, (int, float)):
-            return Multivector.scalar(self.sig, other) ^ self
+            return self._lift(other) ^ self
         return NotImplemented
 
     def __or__(self, other):
@@ -422,14 +430,15 @@ class Multivector:
 
     def __ror__(self, other):
         if isinstance(other, (int, float)):
-            return Multivector.scalar(self.sig, other) | self
+            return self._lift(other) | self
         return NotImplemented
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
-            if other == 0:
+            s = float(other)
+            if s == 0:
                 raise SingularError("division by zero")
-            return Multivector(self.sig, {b: c / other for b, c in self._terms.items()})
+            return Multivector._trusted(self.sig, {b: c / s for b, c in self._terms.items()})
         rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
@@ -445,9 +454,10 @@ class Multivector:
     def reverse(self) -> "Multivector":
         """Reverse the factor order of every blade: grade k picks up
         the sign (-1)^(k(k-1)/2)."""
-        return Multivector(
-            self.sig,
-            {b: c * _reverse_sign(b.bit_count()) for b, c in self._terms.items()},
+        # reversing k factors costs k(k-1)/2 transpositions, an odd
+        # number exactly when k % 4 is 2 or 3, that is when bit 1 of k is set
+        return Multivector._trusted(
+            self.sig, {b: -c if b.bit_count() & 2 else c for b, c in self._terms.items()}
         )
 
     def __invert__(self):
@@ -460,8 +470,9 @@ class Multivector:
         total = 0.0
         p = self.sig.p
         for bits, c in self._terms.items():
-            sign = -1 if (bits & _sign_mask(bits, p)).bit_count() & 1 else 1
-            total += sign * _reverse_sign(bits.bit_count()) * c * c
+            # a blade times its reverse is the product of its factors'
+            # squares, and the factors at positions >= p square to -1
+            total += -c * c if (bits >> p).bit_count() & 1 else c * c
         return total
 
     def norm(self) -> float:
@@ -475,7 +486,7 @@ class Multivector:
         s = m.scalar_part()
         if abs(s) <= _NULL_EPS:
             raise SingularError("multivector has no inverse: A * ~A vanishes")
-        if (m - s).norm() > tol * max(1.0, abs(s)):
+        if _non_scalar_norm(m) > tol * max(1.0, abs(s)):
             raise SingularError("multivector is not invertible by reversal")
         return rev / s
 
@@ -493,7 +504,9 @@ class Multivector:
             raise GradeError(f"exp expects a bivector, got grades {self.grades()}")
         square = self * self
         s = square.scalar_part()
-        if (square - s).norm() > tol * max(1.0, abs(s)):
+        if not math.isfinite(s):
+            raise AlgebraError(f"exp: the bivector square {s!r} is not finite")
+        if _non_scalar_norm(square) > tol * max(1.0, abs(s)):
             raise NonBladeError("bivector square is not scalar: not a blade")
         if s <= 0.0:
             theta = math.sqrt(-s)
@@ -551,9 +564,23 @@ def basis_vectors(sig: Signature) -> list[Multivector]:
     return [Multivector.blade(sig, 1 << i) for i in range(sig.dim)]
 
 
+def _non_scalar_norm(m: Multivector) -> float:
+    """Norm of m minus its scalar part: the residual of a "square is
+    scalar" check. Sums the same terms in the same order as
+    ``(m - m.scalar_part()).norm()`` without building that difference."""
+    total = 0.0
+    p = m.sig.p
+    for bits, c in m._terms.items():
+        if bits:
+            total += -c * c if (bits >> p).bit_count() & 1 else c * c
+    return math.sqrt(abs(total))
+
+
 def _require_vector(name: str, a: Multivector) -> None:
-    if any(bits.bit_count() != 1 for bits in a._terms):
-        raise GradeError(f"{name} expects a vector (grade 1), got grades {a.grades()}")
+    for bits in a._terms:
+        # a vector blade has exactly one bit set
+        if not bits or bits & (bits - 1):
+            raise GradeError(f"{name} expects a vector (grade 1), got grades {a.grades()}")
 
 
 def _require_unit_vector(name: str, a: Multivector, tol: float) -> None:

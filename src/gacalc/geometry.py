@@ -20,6 +20,7 @@ from gacalc.algebra import (
     NonBladeError,
     SignatureMismatch,
     SingularError,
+    _non_scalar_norm,
     _require_vector,
     dot,
     dual,
@@ -81,7 +82,7 @@ class Plane:
             )
         square = self.bivector * self.bivector
         s = square.scalar_part()
-        if (square - s).norm() > DEFAULT_TOL * max(1.0, abs(s)) or s >= 0.0:
+        if _non_scalar_norm(square) > DEFAULT_TOL * max(1.0, abs(s)) or s >= 0.0:
             raise NonBladeError("Plane.bivector must be a blade with negative square")
 
 

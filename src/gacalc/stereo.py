@@ -48,9 +48,8 @@ log = logging.getLogger(__name__)
 # squared norm of (a + e3) below this counts as the projection pole
 _POLE_EPS = 1e-24
 
-
-def _pole() -> Multivector:
-    return Multivector.blade(G3, 0b100)
+# e3; a Multivector is immutable, so one value serves every call
+_POLE = Multivector.blade(G3, 0b100)
 
 
 def _require_sphere_point(name: str, a: Multivector, tol: float) -> None:
@@ -68,7 +67,7 @@ def _require_plane_point(name: str, x: Multivector, tol: float) -> None:
 
 
 def _guard_pole(name: str, a: Multivector) -> Multivector:
-    shifted = a + _pole()
+    shifted = a + _POLE
     if dot(shifted, shifted) < _POLE_EPS:
         raise SingularError(f"{name} is singular at the south pole -e3")
     return shifted
@@ -80,7 +79,12 @@ def stereo_project(a: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
     from the south pole through a."""
     _require_sphere_point("stereo_project", a, tol)
     shifted = _guard_pole("stereo_project", a)
-    return 2 * vector_inverse(shifted) - _pole()
+    y = 2 * vector_inverse(shifted)
+    # x = y - e3 lies in the plane, but its computed e3 part y3 - 1
+    # cancels two numbers near 1 and keeps a rounding residue that grows
+    # like 1/(1 + a.e3) toward the south pole, past stereo_unproject's
+    # plane check; so x is taken as y's in-plane part
+    return Multivector.vector(G3, [y.coeff(0b001), y.coeff(0b010), 0.0])
 
 
 def to_m(a: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
@@ -88,7 +92,7 @@ def to_m(a: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
     the plane image shifted up so that m.e3 = 1."""
     _require_sphere_point("to_m", a, tol)
     shifted = _guard_pole("to_m", a)
-    return shifted / (1.0 + dot(a, _pole()))
+    return shifted / (1.0 + dot(a, _POLE))
 
 
 def stereo_unproject(x: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
@@ -96,16 +100,16 @@ def stereo_unproject(x: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
     the sandwich m^ e3 m^ reflects the pole through the unit direction
     of m, landing exactly on the sphere."""
     _require_plane_point("stereo_unproject", x, tol)
-    m = x + _pole()
+    m = x + _POLE
     m_hat = m / m.norm()
-    return (m_hat * _pole() * m_hat).grade(1)
+    return (m_hat * _POLE * m_hat).grade(1)
 
 
 def rotation_form(x: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
     """Rotor R = -e123 m^ whose sandwich R e3 ~R equals
     stereo_unproject(x): a half-turn in the plane dual to m."""
     _require_plane_point("rotation_form", x, tol)
-    m = x + _pole()
+    m = x + _POLE
     m_hat = m / m.norm()
     return -dual(m_hat)
 
@@ -157,4 +161,4 @@ def antipodal_m(x: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
     _require_plane_point("antipodal_m", x, tol)
     if dot(x, x) < _POLE_EPS:
         raise SingularError("antipodal_m: the antipode of the origin projects to infinity")
-    return -vector_inverse(x) + _pole()
+    return -vector_inverse(x) + _POLE

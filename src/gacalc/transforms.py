@@ -17,6 +17,7 @@ from gacalc.algebra import (
     NonBladeError,
     SingularError,
     _NULL_EPS,
+    _non_scalar_norm,
     _require_unit_vector,
     _require_vector,
     dot,
@@ -63,7 +64,7 @@ def _check_unit_plane(name: str, B: Multivector, tol: float) -> None:
         raise GradeError(f"{name} expects a bivector, got grades {B.grades()}")
     square = B * B
     s = square.scalar_part()
-    if (square - s).norm() > tol * max(1.0, abs(s)):
+    if _non_scalar_norm(square) > tol * max(1.0, abs(s)):
         raise NonBladeError(f"{name} expects a 2-blade (square must be scalar)")
     if abs(s + 1.0) > tol:
         raise NonBladeError(f"{name} expects a unit plane: B*B = -1, got {s!r}")
@@ -90,7 +91,7 @@ def _check_rotor(name: str, R: Multivector, tol: float) -> None:
     if any(g not in (0, 2) for g in R.grades()):
         raise GradeError(f"{name} expects a rotor (grades 0 and 2), got grades {R.grades()}")
     m = R * R.reverse()
-    if abs(m.scalar_part() - 1.0) > tol or (m - m.scalar_part()).norm() > tol:
+    if abs(m.scalar_part() - 1.0) > tol or _non_scalar_norm(m) > tol:
         raise NonBladeError(f"{name} expects a unit rotor: R * ~R must be 1")
 
 

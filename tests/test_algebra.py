@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from gacalc import (
     dual,
     vector_inverse,
 )
+from gacalc.algebra import _non_scalar_norm
 
 from conftest import SMALL_SIGNATURES, multivectors, vectors, wild_coeff
 from oracles import (
@@ -427,6 +429,11 @@ def test_exp_rejects_non_blade_bivector():
         B.exp()
 
 
+def test_exp_rejects_non_finite_square():
+    with pytest.raises(AlgebraError, match="not finite"):
+        Multivector.blade(G3, 0b011, 1e200).exp()  # square overflows to -inf
+
+
 def test_exp_hyperbolic_branch():
     sig = Signature(1, 1)
     B = Multivector.blade(sig, 0b11, 0.75)  # B*B = +0.5625
@@ -478,3 +485,87 @@ def test_even_subalgebra_of_g2_behaves_like_complex_numbers():
         prod = complex(zr, zi) * complex(wr, wi)
         assert math.isclose(zw.scalar_part(), prod.real, abs_tol=1e-12)
         assert math.isclose(zw.coeff(0b11), prod.imag, abs_tol=1e-12)
+
+
+# -- derived values ----------------------------------------------------------
+# Negation, scalar scaling, reverse, grade parts, sums and number lifts
+# build their results without the public constructor's checks. Each must
+# hold exactly what the checked constructor makes of the same terms.
+
+DERIVED_SIGS = [G3, Signature(4, 1), Signature(12, 0), Signature(0, 12)]
+
+
+def seeded_operands(sig, seed, count=6):
+    rng = random.Random(f"{sig}:{seed}")
+    out = []
+    for _ in range(count):
+        blades = rng.sample(range(1 << sig.dim), min(rng.randint(1, 9), 1 << sig.dim))
+        out.append(Multivector(sig, {b: rng.uniform(-3.0, 3.0) for b in blades}))
+    return out
+
+
+def exact_terms(A):
+    """Blade -> (type, hex) of each coefficient: equal only bit for bit."""
+    return {b: (type(c), c.hex()) for b, c in A.terms.items()}
+
+
+def sum_terms(A, B, sign):
+    out = dict(A.terms)
+    for b, c in B.terms.items():
+        out[b] = out.get(b, 0.0) + sign * c
+    return out
+
+
+@pytest.mark.parametrize("sig", DERIVED_SIGS, ids=str)
+def test_derived_values_match_the_checked_constructor(sig):
+    operands = seeded_operands(sig, 0)
+    for A, B in zip(operands, operands[1:]):
+        sign = {b: -1.0 if b.bit_count() % 4 in (2, 3) else 1.0 for b in A.terms}
+        cases = [
+            (-A, {b: -c for b, c in A.terms.items()}),
+            (A * 0.37, {b: c * 0.37 for b, c in A.terms.items()}),
+            (3 * A, {b: c * 3 for b, c in A.terms.items()}),
+            (A / 7, {b: c / 7 for b, c in A.terms.items()}),
+            (~A, {b: c * sign[b] for b, c in A.terms.items()}),
+            (A + B, sum_terms(A, B, 1.0)),
+            (A - B, sum_terms(A, B, -1.0)),
+            (A + 2, sum_terms(A, Multivector.scalar(sig, 2), 1.0)),
+            (A - 0.5, sum_terms(A, Multivector.scalar(sig, 0.5), -1.0)),
+        ]
+        cases += [
+            (A.grade(k), {b: c for b, c in A.terms.items() if b.bit_count() == k})
+            for k in range(sig.dim + 2)
+        ]
+        for got, terms in cases:
+            assert got.sig == sig
+            assert exact_terms(got) == exact_terms(Multivector(sig, terms))
+
+
+@pytest.mark.parametrize("sig", DERIVED_SIGS, ids=str)
+def test_derived_values_hold_no_exact_zero(sig):
+    for A in seeded_operands(sig, 1):
+        assert (A - A).is_zero()
+        assert (A + -A).is_zero()
+        assert (A * 0.0).is_zero()
+        assert (A * 1e-320 * 1e-10).is_zero()  # underflows to +-0.0
+        assert (A - A.scalar_part()).scalar_part() == 0.0
+        for got in (A * 1e-320, A + A.grade(1), A - A.grade(2)):
+            assert 0.0 not in got.terms.values()
+
+
+def test_lifted_numbers_are_stored_as_floats():
+    A = Multivector.vector(G3, [1.0, 2.0, 3.0])
+    for got in (A + True, A + 3, 3 + A, A - 4, 4 - A, A * True, A * 2, A / 2, A ^ 2, 2 | A):
+        assert all(type(c) is float for c in got.terms.values())
+    assert exact_terms(A + True) == exact_terms(Multivector(G3, {0: 1.0, 1: 1.0, 2: 2.0, 4: 3.0}))
+    with pytest.raises(OverflowError):
+        A + 10**400
+    with pytest.raises(OverflowError):
+        A * 10**400
+
+
+@pytest.mark.parametrize("sig", DERIVED_SIGS, ids=str)
+def test_non_scalar_norm_matches_the_difference_norm(sig):
+    for A in seeded_operands(sig, 2):
+        for m in (A, A * ~A, A * A, A + 1.5, A.grade(0), A - A.scalar_part()):
+            assert _non_scalar_norm(m) == (m - m.scalar_part()).norm()

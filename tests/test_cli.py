@@ -5,10 +5,15 @@ from __future__ import annotations
 import importlib.resources
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from gacalc import G2, Multivector, Signature
+import gacalc
+from gacalc import G2, Multivector, Signature, cli
 from gacalc.cli import emit_cayley, main, multivector_json
 
 
@@ -50,6 +55,12 @@ def test_eval_evaluation_error_exits_1(capsys):
     assert main(["eval", "1/(e1 + e1*e2)"]) == 1
     assert "ga:" in capsys.readouterr().err
     assert main(["eval", "nope"]) == 1
+
+
+def test_eval_non_finite_exp_exits_1(capsys):
+    assert main(["eval", "exp(1e+400*e12)"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ga: ") and "not finite" in err
 
 
 def test_eval_bad_signature_exits_2(capsys):
@@ -103,6 +114,13 @@ def test_repl_piped_session(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("let a = e1 + 2*e2\na.a\n:quit\n"))
     assert main(["repl"]) == 0
     assert capsys.readouterr().out == "5\n"
+
+
+def test_repl_survives_non_finite_exp(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("exp(1e+400*e12)\ne1*e2\n"))
+    assert main(["repl"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.endswith("\n1*e12\n")
 
 
 def test_repl_with_signature(capsys, monkeypatch):
@@ -187,6 +205,23 @@ def test_run_shipped_identity_script(capsys):
 
 
 # -- environment and usage -----------------------------------------------
+
+
+def test_module_launch_prints_no_warning():
+    src = Path(gacalc.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "gacalc.cli", "eval", "e1*e2"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "1*e12\n")
+
+
+def test_cli_names_stay_importable_from_the_package():
+    for name in ("emit_cayley", "main", "multivector_json", "run_script"):
+        assert getattr(gacalc, name) is getattr(cli, name)
+    with pytest.raises(AttributeError):
+        gacalc.no_such_name
 
 
 def test_ga_tol_overrides_default(tmp_path, capsys, monkeypatch):

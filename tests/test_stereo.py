@@ -97,6 +97,15 @@ def test_sphere_round_trip(a):
     assert stereo_unproject(stereo_project(a)).is_close(a, abs_tol=1e-10, rel_tol=1e-10)
 
 
+def test_sphere_round_trip_near_the_south_pole():
+    # a.e3 ~ -0.999998: evaluated literally, 2/(a + e3) - e3 keeps an e3
+    # rounding residue of ~1e-10 here, which stereo_unproject rejects
+    for a in (unit(vec3(0.0, 0.001, -0.5)), unit(vec3(1e-3, -2e-3, -1.0))):
+        x = stereo_project(a)
+        assert x.coeff(0b100) == 0.0
+        assert stereo_unproject(x).is_close(a, abs_tol=1e-10, rel_tol=1e-10)
+
+
 @settings(max_examples=150)
 @given(plane_points)
 def test_plane_round_trip(x):
