@@ -54,6 +54,7 @@ __all__ = [
     "G2",
     "G3",
     "MAX_DIM",
+    "MAX_CAYLEY_DIM",
     "DEFAULT_TOL",
     "Multivector",
     "blade_product",
@@ -496,7 +497,8 @@ class Multivector:
         A square B*B = -theta^2 gives cos(theta) + B sin(theta)/theta
         (a rotation generator); B*B = +phi^2 gives cosh(phi) +
         B sinh(phi)/phi; B = 0 gives 1. A bivector whose square is not
-        scalar (a non-blade, possible from dimension 4 up) is rejected.
+        scalar (a non-blade, possible from dimension 4 up) is rejected, and
+        so is one whose square is not finite or makes cosh overflow.
         """
         if self.is_zero():
             return Multivector.scalar(self.sig, 1.0)
@@ -513,7 +515,11 @@ class Multivector:
             scale = math.sin(theta) / theta if theta > 0.0 else 1.0
             return self * scale + math.cos(theta)
         phi = math.sqrt(s)
-        return self * (math.sinh(phi) / phi) + math.cosh(phi)
+        try:
+            scale, shift = math.sinh(phi) / phi, math.cosh(phi)
+        except OverflowError:
+            raise AlgebraError(f"exp: the bivector square {s!r} overflows cosh") from None
+        return self * scale + shift
 
     # -- comparison and display -------------------------------------------
 
@@ -652,11 +658,15 @@ def vector_inverse(a: Multivector) -> Multivector:
     return a / s
 
 
+# a Cayley table has 4**dim entries; dimension 6 keeps it at 64 x 64
+MAX_CAYLEY_DIM = 6
+
+
 def cayley_table(sig: Signature) -> list[list[tuple[int, int]]]:
     """Full multiplication table of basis blades as (sign, bits) pairs,
     rows and columns in canonical grade-then-index order. Limited to
-    dimension 6 (a 64 x 64 table) to keep emission sane."""
-    if sig.dim > 6:
-        raise AlgebraError(f"cayley table limited to dimension 6, got {sig.dim}")
+    dimension MAX_CAYLEY_DIM."""
+    if sig.dim > MAX_CAYLEY_DIM:
+        raise AlgebraError(f"cayley table limited to dimension {MAX_CAYLEY_DIM}, got {sig.dim}")
     order = canonical_blades(sig)
     return [[blade_product(sig, a, b) for b in order] for a in order]

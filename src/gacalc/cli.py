@@ -7,7 +7,6 @@ The environment variable GA_TOL overrides the default tolerance 1e-12.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -25,19 +24,15 @@ from .algebra import (
     cayley_table,
 )
 from .expr import (
-    AssertOutcome,
+    TYPED_ERRORS,
     AssertStmt,
     Environment,
-    EvalError,
     GaSyntaxError,
     evaluate,
-    execute_statement,
-    format_assert_failure,
     parse_expression,
     parse_signature,
-    parse_statement,
     repl_loop,
-    run_command,
+    run_line,
 )
 
 __all__ = ["emit_cayley", "main", "multivector_json", "run_script"]
@@ -83,32 +78,14 @@ def run_script(path: str, env: Environment, stdout: TextIO) -> int:
         return 2
     assertions = 0
     failures = 0
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if stripped.startswith(":"):
-            buffer = io.StringIO()
-            status = run_command(stripped, env, buffer)
-            message = buffer.getvalue()
-            if message:
-                failures += 1
-                stdout.write(f"{path}:{lineno}: {message}")
-            if status == "quit":
-                break
-            continue
-        try:
-            stmt = parse_statement(stripped)
-            if isinstance(stmt, AssertStmt):
-                assertions += 1
-            result = execute_statement(stmt, env)
-        except (GaSyntaxError, EvalError, AlgebraError) as exc:
+    for lineno, line in enumerate(lines, start=1):
+        done = run_line(line, env)
+        if done.quit:
+            break
+        assertions += isinstance(done.statement, AssertStmt)
+        if done.failure is not None:
             failures += 1
-            stdout.write(f"{path}:{lineno}: error: {exc}\n")
-            continue
-        if isinstance(result, AssertOutcome) and not result.passed:
-            failures += 1
-            stdout.write(f"{path}:{lineno}: {format_assert_failure(result)}\n")
+            stdout.write(f"{path}:{lineno}: {done.failure}\n")
     stdout.write(f"{assertions} assertions, {failures} failures\n")
     return 1 if failures else 0
 
@@ -176,12 +153,9 @@ def main(argv: list[str] | None = None) -> int:
         env = Environment(sig=args.sig, tol=tol)
         try:
             value = evaluate(parse_expression(args.expr), env)
-        except GaSyntaxError as exc:
+        except TYPED_ERRORS as exc:
             sys.stderr.write(f"ga: {exc}\n")
-            return 2
-        except (EvalError, AlgebraError) as exc:
-            sys.stderr.write(f"ga: {exc}\n")
-            return 1
+            return 2 if isinstance(exc, GaSyntaxError) else 1
         if args.json:
             sys.stdout.write(json.dumps(multivector_json(value)) + "\n")
         else:

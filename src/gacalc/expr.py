@@ -1,4 +1,5 @@
-"""Expression language over the algebra: lexer, parser, evaluator, and REPL.
+"""Expression language over the algebra: lexer, parser, function registry,
+evaluator, statement runner and REPL.
 
 Statements come in three forms:
 
@@ -14,9 +15,10 @@ unary ``-``, then ``^`` and ``.`` on one tier (left-associative), then
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import TextIO, Union
+from typing import Callable, NamedTuple, TextIO, Union
 
 from .algebra import (
     DEFAULT_TOL,
@@ -50,23 +52,26 @@ __all__ = [
     "EvalError",
     "ExprStmt",
     "FUNCTIONS",
+    "Function",
     "GaSyntaxError",
     "Let",
     "LexError",
+    "LineResult",
+    "MAX_DEPTH",
     "Neg",
     "Num",
     "ParseError",
     "Rev",
+    "TYPED_ERRORS",
     "Token",
     "Var",
     "evaluate",
     "execute_statement",
-    "format_assert_failure",
     "parse_expression",
     "parse_signature",
     "parse_statement",
     "repl_loop",
-    "run_command",
+    "run_line",
     "tokenize",
 ]
 
@@ -246,31 +251,81 @@ class ExprStmt:
 Statement = Union[Let, AssertStmt, ExprStmt]
 
 
-# name -> arity; the registry is fixed, no user-defined functions
-FUNCTIONS: dict[str, int] = {
-    "exp": 1,
-    "rev": 1,
-    "inv": 1,
-    "grade": 2,
-    "norm": 1,
-    "dual": 1,
-    "cross": 2,
-    "proj": 2,
-    "rej": 2,
-    "reflect": 2,
-    "reflectn": 2,
-    "rot": 2,
-    "rotor": 2,
-    "rotor2": 2,
-    "stereo": 1,
-    "unstereo": 1,
-    "probp": 2,
-    "probm": 2,
-    "dist": 3,
-}
+class Function(NamedTuple):
+    """A calculator function: its signature as documented, its arity, and
+    its implementation, called with the environment and the evaluated
+    arguments."""
+
+    doc: str
+    arity: int
+    apply: Callable[..., Multivector]
+
+
+def _grade_selector(arg: Multivector) -> int:
+    if arg.grades() not in ((), (0,)):
+        raise EvalError("grade() selector must be a number")
+    k = arg.scalar_part()
+    if k != int(k):
+        raise EvalError("grade() selector must be an integer")
+    return int(k)
+
+
+def _registry(*entries: tuple[str, Callable[..., Multivector]]) -> dict[str, Function]:
+    # a doc reads "name(arg, ...)", so it gives both the name and the arity
+    return {
+        doc.partition("(")[0]: Function(doc, doc.count(",") + 1, apply) for doc, apply in entries
+    }
+
+
+# The fixed registry, in README order; there are no user-defined functions.
+# Each implementation looks up the kernel function by its module-level name
+# when it runs, so a tracer that rebinds those names sees every call.
+FUNCTIONS = _registry(
+    ("exp(B)", lambda env, B: B.exp(env.tol)),
+    ("rev(x)", lambda env, x: ~x),
+    ("inv(x)", lambda env, x: x.inverse(env.tol)),
+    ("grade(x, k)", lambda env, x, k: x.grade(_grade_selector(k))),
+    ("norm(x)", lambda env, x: Multivector.scalar(env.sig, x.norm())),
+    ("dual(x)", lambda env, x: dual(x)),
+    ("cross(a, b)", lambda env, a, b: cross(a, b)),
+    ("proj(x, a)", lambda env, x, a: project(x, a)),
+    ("rej(x, a)", lambda env, x, a: reject(x, a)),
+    ("reflect(x, B)", lambda env, x, B: reflect_in_plane(x, B, env.tol)),
+    ("reflectn(x, n)", lambda env, x, n: reflect_normal(x, n, env.tol)),
+    ("rot(x, R)", lambda env, x, R: rotate(x, R, env.tol)),
+    ("rotor(a, b)", lambda env, a, b: rotor_between(a, b, env.tol)),
+    ("rotor2(n1, n2)", lambda env, n1, n2: rotor_from_reflections(n1, n2, env.tol)),
+    ("stereo(a)", lambda env, a: stereo_project(a, env.tol)),
+    ("unstereo(x)", lambda env, x: stereo_unproject(x, env.tol)),
+    ("probp(a, b)", lambda env, a, b: Multivector.scalar(env.sig, prob_plus(a, b, env.tol))),
+    ("probm(a, b)", lambda env, a, b: Multivector.scalar(env.sig, prob_minus(a, b, env.tol))),
+    (
+        "dist(x0, a, p)",
+        lambda env, x0, a, p: Multivector.scalar(env.sig, distance_to_line(Line(x0, a), p)),
+    ),
+)
 
 
 # -- parser --------------------------------------------------------------
+
+
+# How deep an expression may nest. Each parenthesis pair (a call's argument
+# list too), call, unary minus, postfix ~ and binary operator is one level,
+# so `a + b + c` is two levels and `rev(x)` is two. 600 holds the printed
+# form of every value the language can name (2**9 terms in dimension 9),
+# while parsing and evaluating stay inside Python's default limit of 1000
+# frames: each spends at most one frame per level.
+MAX_DEPTH = 600
+
+# binary operators: precedence tier (loosest first) and implementation
+_BINARY = {
+    "+": (1, operator.add),
+    "-": (1, operator.sub),
+    "*": (2, operator.mul),
+    "/": (2, operator.truediv),
+    "^": (3, operator.xor),
+    ".": (3, operator.or_),
+}
 
 
 class _Parser:
@@ -297,118 +352,103 @@ class _Parser:
         if tok is not None:
             raise ParseError(f"unexpected {tok.lexeme!r}", tok.start, tok.end)
 
-    def _at_operator(self, lexemes: str) -> Token | None:
+    def _at_paren(self, lexeme: str) -> bool:
         tok = self.peek()
-        if tok is not None and tok.kind == "operator" and tok.lexeme in lexemes:
-            return tok
-        return None
+        return tok is not None and tok.kind == "paren" and tok.lexeme == lexeme
 
-    def parse_expr(self) -> AstNode:
-        node = self.parse_term()
-        while (tok := self._at_operator("+-")) is not None:
-            self.advance()
-            node = BinOp(tok.lexeme, node, self.parse_term())
-        return node
+    def _too_deep(self, tok: Token | None) -> None:
+        at = (tok.start, tok.end) if tok is not None else (self._tokens[-1].end,) * 2
+        raise ParseError(f"expression nesting exceeds {MAX_DEPTH} levels", *at)
 
-    def parse_term(self) -> AstNode:
-        node = self.parse_contraction()
-        while (tok := self._at_operator("*/")) is not None:
-            self.advance()
-            node = BinOp(tok.lexeme, node, self.parse_contraction())
-        return node
-
-    def parse_contraction(self) -> AstNode:
-        node = self.parse_unary()
-        while (tok := self._at_operator("^.")) is not None:
-            self.advance()
-            node = BinOp(tok.lexeme, node, self.parse_unary())
-        return node
-
-    def parse_unary(self) -> AstNode:
-        if self._at_operator("-") is not None:
-            self.advance()
-            return Neg(self.parse_unary())
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> AstNode:
-        node = self.parse_primary()
-        while self._at_operator("~") is not None:
-            self.advance()
-            node = Rev(node)
-        return node
-
-    def parse_primary(self) -> AstNode:
+    def _close(self, comma: bool) -> Token:
+        """Consume the ')' that ends a parenthesised list, or a ',' between
+        a call's arguments when ``comma`` is set."""
+        expected = "',' or ')'" if comma else "')'"
         tok = self.peek()
         if tok is None:
-            self._fail_eof("an expression")
+            self._fail_eof(expected)
         assert tok is not None
-        if tok.kind == "number":
-            self.advance()
-            return Num(float(tok.lexeme))
-        if tok.kind == "ident":
-            self.advance()
-            if tok.lexeme in _KEYWORDS:
-                raise ParseError(
-                    f"reserved word '{tok.lexeme}' cannot appear here", tok.start, tok.end
-                )
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "paren" and nxt.lexeme == "(":
-                return self._parse_call(tok)
-            if _BLADE_RE.fullmatch(tok.lexeme):
-                return BladeRef(tok.lexeme)
-            return Var(tok.lexeme)
-        if tok.kind == "paren" and tok.lexeme == "(":
-            self.advance()
-            node = self.parse_expr()
-            closing = self.peek()
-            if closing is None:
-                self._fail_eof("')'")
-            assert closing is not None
-            if closing.kind != "paren" or closing.lexeme != ")":
-                raise ParseError(
-                    f"expected ')', found {closing.lexeme!r}", closing.start, closing.end
-                )
-            self.advance()
-            return node
-        raise ParseError(f"unexpected {tok.lexeme!r}", tok.start, tok.end)
+        if not (self._at_paren(")") or (comma and tok.kind == "comma")):
+            raise ParseError(f"expected {expected}, found {tok.lexeme!r}", tok.start, tok.end)
+        return self.advance()
 
-    def _parse_call(self, name_tok: Token) -> AstNode:
-        name = name_tok.lexeme
-        if name not in FUNCTIONS:
-            raise ParseError(f"unknown function '{name}'", name_tok.start, name_tok.end)
+    def parse_expr(self, depth: int = 0, tier: int = 1) -> tuple[AstNode, int]:
+        """Parse an operand and then every binary operator of ``tier`` or
+        tighter (precedence climbing). ``depth`` counts the levels above
+        the expression; it is returned with its height, the levels below
+        its root. Each nested level costs one Python frame."""
+        tok = self.peek()
+        if depth > MAX_DEPTH:
+            self._too_deep(tok)
+        # "-", "(" and "~" each name one token kind, so a lexeme is enough
+        lexeme = tok.lexeme if tok is not None else None
+        if lexeme == "-":
+            self.advance()
+            # tier 4: no binary operator binds tighter than unary minus
+            operand, height = self.parse_expr(depth + 1, 4)
+            node, height = Neg(operand), height + 1
+        elif lexeme == "(":
+            self.advance()
+            node, height = self.parse_expr(depth + 1)
+            height += 1
+            self._close(comma=False)
+        else:
+            node, height = self._parse_primary(depth)
+        while (tok := self.peek()) is not None and tok.lexeme == "~":
+            self.advance()
+            node, height = Rev(node), height + 1
+            if depth + height > MAX_DEPTH:
+                self._too_deep(tok)
+        while (tok := self.peek()) is not None and _BINARY.get(tok.lexeme, (0,))[0] >= tier:
+            self.advance()
+            right, right_height = self.parse_expr(depth + 1, _BINARY[tok.lexeme][0] + 1)
+            node, height = BinOp(tok.lexeme, node, right), 1 + max(height, right_height)
+            if depth + height > MAX_DEPTH:
+                self._too_deep(tok)
+        return node, height
+
+    def _parse_primary(self, depth: int) -> tuple[AstNode, int]:
+        """A number, a name, or a call, whose arguments sit two levels down
+        (the call and its parentheses)."""
+        if self.peek() is None:
+            self._fail_eof("an expression")
+        tok = self.advance()
+        if tok.kind == "number":
+            return Num(float(tok.lexeme)), 0
+        if tok.kind != "ident":
+            raise ParseError(f"unexpected {tok.lexeme!r}", tok.start, tok.end)
+        name = tok.lexeme
+        if name in _KEYWORDS:
+            raise ParseError(f"reserved word '{name}' cannot appear here", tok.start, tok.end)
+        if not self._at_paren("("):
+            return (BladeRef(name) if _BLADE_RE.fullmatch(name) else Var(name)), 0
+        function = FUNCTIONS.get(name)
+        if function is None:
+            raise ParseError(f"unknown function '{name}'", tok.start, tok.end)
         self.advance()  # the opening paren
         args: list[AstNode] = []
-        tok = self.peek()
-        if tok is not None and tok.kind == "paren" and tok.lexeme == ")":
+        height = 0
+        if self._at_paren(")"):
             self.advance()
         else:
             while True:
-                args.append(self.parse_expr())
-                tok = self.peek()
-                if tok is None:
-                    self._fail_eof("',' or ')'")
-                assert tok is not None
-                if tok.kind == "comma":
-                    self.advance()
-                    continue
-                if tok.kind == "paren" and tok.lexeme == ")":
-                    self.advance()
+                arg, arg_height = self.parse_expr(depth + 2)
+                args.append(arg)
+                height = max(height, arg_height)
+                if self._close(comma=True).kind != "comma":
                     break
-                raise ParseError(
-                    f"expected ',' or ')', found {tok.lexeme!r}", tok.start, tok.end
-                )
-        if len(args) != FUNCTIONS[name]:
+        if len(args) != function.arity:
             raise ParseError(
-                f"'{name}' takes {FUNCTIONS[name]} argument(s), got {len(args)}",
-                name_tok.start,
-                name_tok.end,
+                f"'{name}' takes {function.arity} argument(s), got {len(args)}",
+                tok.start,
+                tok.end,
             )
-        return Call(name, tuple(args))
+        return Call(name, tuple(args)), height + 2
 
 
 def _parse_full(tokens: list[Token]) -> AstNode:
     parser = _Parser(tokens)
-    node = parser.parse_expr()
+    node = parser.parse_expr()[0]
     parser.expect_end()
     return node
 
@@ -464,7 +504,7 @@ def parse_statement(text: str) -> Statement:
             raise ParseError("assert needs '~' between two expressions", head.start, head.end)
         left = _parse_full(body[:sep])
         parser = _Parser(body[sep + 1 :])
-        right = parser.parse_expr()
+        right = parser.parse_expr()[0]
         tol: float | None = None
         trailing = parser.peek()
         if trailing is not None and trailing.kind == "number":
@@ -513,60 +553,6 @@ class Environment:
         self.bindings.clear()
 
 
-def _grade_selector(arg: Multivector) -> int:
-    if arg.grades() not in ((), (0,)):
-        raise EvalError("grade() selector must be a number")
-    k = arg.scalar_part()
-    if k != int(k):
-        raise EvalError("grade() selector must be an integer")
-    return int(k)
-
-
-def _apply(name: str, args: list[Multivector], env: Environment) -> Multivector:
-    def scalar(value: float) -> Multivector:
-        return Multivector.scalar(env.sig, value)
-
-    if name == "exp":
-        return args[0].exp(env.tol)
-    if name == "rev":
-        return ~args[0]
-    if name == "inv":
-        return args[0].inverse(env.tol)
-    if name == "grade":
-        return args[0].grade(_grade_selector(args[1]))
-    if name == "norm":
-        return scalar(args[0].norm())
-    if name == "dual":
-        return dual(args[0])
-    if name == "cross":
-        return cross(args[0], args[1])
-    if name == "proj":
-        return project(args[0], args[1])
-    if name == "rej":
-        return reject(args[0], args[1])
-    if name == "reflect":
-        return reflect_in_plane(args[0], args[1], env.tol)
-    if name == "reflectn":
-        return reflect_normal(args[0], args[1], env.tol)
-    if name == "rot":
-        return rotate(args[0], args[1], env.tol)
-    if name == "rotor":
-        return rotor_between(args[0], args[1], env.tol)
-    if name == "rotor2":
-        return rotor_from_reflections(args[0], args[1], env.tol)
-    if name == "stereo":
-        return stereo_project(args[0], env.tol)
-    if name == "unstereo":
-        return stereo_unproject(args[0], env.tol)
-    if name == "probp":
-        return scalar(prob_plus(args[0], args[1], env.tol))
-    if name == "probm":
-        return scalar(prob_minus(args[0], args[1], env.tol))
-    if name == "dist":
-        return scalar(distance_to_line(Line(args[0], args[1]), args[2]))
-    raise EvalError(f"unknown function '{name}'")
-
-
 def evaluate(node: AstNode, env: Environment) -> Multivector:
     if isinstance(node, Num):
         return Multivector.scalar(env.sig, node.value)
@@ -585,20 +571,11 @@ def evaluate(node: AstNode, env: Environment) -> Multivector:
     if isinstance(node, Rev):
         return ~evaluate(node.operand, env)
     if isinstance(node, BinOp):
-        left = evaluate(node.left, env)
-        right = evaluate(node.right, env)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            return left / right
-        if node.op == "^":
-            return left ^ right
-        return left | right  # "."
-    return _apply(node.name, [evaluate(arg, env) for arg in node.args], env)
+        return _BINARY[node.op][1](evaluate(node.left, env), evaluate(node.right, env))
+    function = FUNCTIONS.get(node.name)
+    if function is None:
+        raise EvalError(f"unknown function '{node.name}'")
+    return function.apply(env, *[evaluate(arg, env) for arg in node.args])
 
 
 @dataclass(frozen=True)
@@ -625,41 +602,77 @@ def execute_statement(
     return evaluate(stmt.expr, env)
 
 
-# -- REPL ----------------------------------------------------------------
+# -- statement runner --------------------------------------------------
 
 
-def run_command(line: str, env: Environment, stdout: TextIO) -> str:
-    parts = line.split(None, 1)
+# the errors a statement raises on bad input; any other exception is a bug
+TYPED_ERRORS = (GaSyntaxError, EvalError, AlgebraError)
+
+
+@dataclass(frozen=True)
+class LineResult:
+    """What one input line did: the statement it held (None for a blank
+    line, a command or a syntax error), the value or assert outcome it gave,
+    the message of a typed error or a rejected command, and whether it was
+    ``:quit``."""
+
+    statement: Statement | None = None
+    value: Multivector | AssertOutcome | None = None
+    error: str | None = None
+    quit: bool = False
+
+    @property
+    def failure(self) -> str | None:
+        """The report of a line that failed, or None if it did not."""
+        if self.error is not None:
+            return f"error: {self.error}"
+        if isinstance(self.value, AssertOutcome) and not self.value.passed:
+            return (
+                f"assert failed: |lhs - rhs| = {self.value.gap:.17g}"
+                f" exceeds tolerance {self.value.tol:.17g}"
+            )
+        return None
+
+
+def _run_command(text: str, env: Environment) -> LineResult:
+    parts = text.split(None, 1)
     name = parts[0]
     arg = parts[1].strip() if len(parts) > 1 else ""
     if name == ":quit":
-        return "quit"
+        return LineResult(quit=True)
     if name == ":sig":
         try:
             env.set_signature(parse_signature(arg))
         except ValueError as exc:
-            stdout.write(f"error: {exc}\n")
-        return "ok"
+            return LineResult(error=str(exc))
+        return LineResult()
     if name == ":tol":
         try:
             value = float(arg)
         except ValueError:
-            stdout.write(f"error: ':tol' needs a number, got {arg!r}\n")
-            return "ok"
+            return LineResult(error=f"':tol' needs a number, got {arg!r}")
         if not math.isfinite(value) or value <= 0:
-            stdout.write("error: tolerance must be a positive finite number\n")
-            return "ok"
+            return LineResult(error="tolerance must be a positive finite number")
         env.tol = value
-        return "ok"
-    stdout.write(f"error: unknown command '{name}'\n")
-    return "ok"
+        return LineResult()
+    return LineResult(error=f"unknown command '{name}'")
 
 
-def format_assert_failure(outcome: AssertOutcome) -> str:
-    return (
-        f"assert failed: |lhs - rhs| = {outcome.gap:.17g}"
-        f" exceeds tolerance {outcome.tol:.17g}"
-    )
+def run_line(line: str, env: Environment) -> LineResult:
+    """Run one line of a session or a script: drop its ``#`` comment, then
+    run a ``:`` command or a statement. Typed errors are caught and
+    returned; nothing is written."""
+    text = line.split("#", 1)[0].strip()
+    if not text:
+        return LineResult()
+    if text.startswith(":"):
+        return _run_command(text, env)
+    stmt = None
+    try:
+        stmt = parse_statement(text)
+        return LineResult(stmt, execute_statement(stmt, env))
+    except TYPED_ERRORS as exc:
+        return LineResult(stmt, error=str(exc))
 
 
 def repl_loop(env: Environment, stdin: TextIO, stdout: TextIO) -> int:
@@ -672,19 +685,12 @@ def repl_loop(env: Environment, stdin: TextIO, stdout: TextIO) -> int:
         line = stdin.readline()
         if line == "":
             return 0
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if stripped.startswith(":"):
-            if run_command(stripped, env, stdout) == "quit":
-                return 0
-            continue
-        try:
-            result = execute_statement(parse_statement(stripped), env)
-        except (GaSyntaxError, EvalError, AlgebraError) as exc:
-            stdout.write(f"error: {exc}\n")
-            continue
-        if isinstance(result, Multivector):
-            stdout.write(f"{result}\n")
-        elif isinstance(result, AssertOutcome):
-            stdout.write("ok\n" if result.passed else f"{format_assert_failure(result)}\n")
+        done = run_line(line, env)
+        if done.quit:
+            return 0
+        if done.failure is not None:
+            stdout.write(f"{done.failure}\n")
+        elif isinstance(done.value, AssertOutcome):
+            stdout.write("ok\n")
+        elif done.value is not None:
+            stdout.write(f"{done.value}\n")

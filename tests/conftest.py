@@ -31,3 +31,14 @@ def vectors(sig: Signature, coeff=tame_coeff):
     return st.lists(coeff, min_size=sig.dim, max_size=sig.dim).map(
         lambda comps: Multivector.vector(sig, comps)
     )
+
+
+# The five ways an expression nests: name -> (text at n repetitions, depth
+# levels per repetition, coefficient of e1 in its value).
+NESTINGS = {
+    "parentheses": (lambda n: "(" * n + "e1" + ")" * n, 1, lambda n: 1.0),
+    "calls": (lambda n: "rev(" * n + "e1" + ")" * n, 2, lambda n: 1.0),
+    "sum": (lambda n: "+".join(["e1"] * (n + 1)), 1, lambda n: float(n + 1)),
+    "negations": (lambda n: "-" * n + "e1", 1, lambda n: (-1.0) ** n),
+    "reverses": (lambda n: "e1" + "~" * n, 1, lambda n: 1.0),
+}

@@ -434,6 +434,15 @@ def test_exp_rejects_non_finite_square():
         Multivector.blade(G3, 0b011, 1e200).exp()  # square overflows to -inf
 
 
+def test_exp_rejects_a_square_that_overflows_cosh():
+    sig = Signature(1, 1)
+    with pytest.raises(AlgebraError, match="overflows cosh"):
+        Multivector.blade(sig, 0b11, 1000.0).exp()  # B*B = 1e6, cosh(1000) overflows
+    near = Multivector.blade(sig, 0b11, 700.0).exp()  # cosh(700) ~ 5e303
+    assert near.scalar_part() == pytest.approx(math.cosh(700.0), rel=1e-12)
+    assert near.coeff(0b11) == pytest.approx(math.sinh(700.0), rel=1e-12)
+
+
 def test_exp_hyperbolic_branch():
     sig = Signature(1, 1)
     B = Multivector.blade(sig, 0b11, 0.75)  # B*B = +0.5625

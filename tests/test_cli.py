@@ -13,8 +13,10 @@ from pathlib import Path
 import pytest
 
 import gacalc
+from conftest import NESTINGS
 from gacalc import G2, Multivector, Signature, cli
-from gacalc.cli import emit_cayley, main, multivector_json
+from gacalc.cli import emit_cayley, main, multivector_json, run_script
+from gacalc.expr import Environment, repl_loop
 
 
 # -- eval ----------------------------------------------------------------
@@ -61,6 +63,21 @@ def test_eval_non_finite_exp_exits_1(capsys):
     assert main(["eval", "exp(1e+400*e12)"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("ga: ") and "not finite" in err
+
+
+def test_eval_exp_overflow_exits_1(capsys):
+    assert main(["eval", "--sig", "1,1", "exp(1000*e12)"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ga: ") and "overflows" in err
+    assert main(["eval", "--sig", "1,1", "exp(700*e12)"]) == 0
+    assert "inf" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("shape", NESTINGS)
+def test_eval_deep_nesting_exits_2(capsys, shape):
+    assert main(["eval", "--", NESTINGS[shape][0](5000)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ga: ") and "nesting exceeds" in err
 
 
 def test_eval_bad_signature_exits_2(capsys):
@@ -119,6 +136,13 @@ def test_repl_piped_session(capsys, monkeypatch):
 def test_repl_survives_non_finite_exp(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("exp(1e+400*e12)\ne1*e2\n"))
     assert main(["repl"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.endswith("\n1*e12\n")
+
+
+def test_repl_survives_exp_overflow(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("exp(1000*e12)\ne1*e2\n"))
+    assert main(["repl", "--sig", "1,1"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("error: ") and out.endswith("\n1*e12\n")
 
@@ -191,6 +215,34 @@ def test_run_bad_colon_command_counts_as_failure(tmp_path, capsys):
     path = write_script(tmp_path, ":sig nope\n")
     assert main(["run", path]) == 1
     assert f"{path}:1:" in capsys.readouterr().out
+
+
+def test_repl_and_run_report_the_same_verdicts(tmp_path):
+    lines = [
+        "assert e1*e1 ~ 1",
+        "assert e1 ~ e2 0.5",
+        "e1 +",
+        "nope + 1",
+        ":tol -1",
+        ":sig 1,1",
+        "assert e2*e2 ~ -1",
+        ":quit",
+        "assert e1 ~ e2",
+    ]
+    # a "0" after each line closes that line's REPL output; scripts print no values
+    text = "".join(f"{line}\n0\n" for line in lines)
+    out = io.StringIO()
+    assert repl_loop(Environment(), io.StringIO(text), out) == 0
+    groups = "\n".join(out.getvalue().splitlines()).split("\n0")[:-1]
+    repl_failed = [g.strip().startswith(("error:", "assert failed:")) for g in groups]
+    path = write_script(tmp_path, text)
+    script = io.StringIO()
+    assert run_script(path, Environment(), script) == 1
+    run_failed = [f"{path}:{2 * i + 1}:" in script.getvalue() for i in range(len(lines))]
+    assert repl_failed == run_failed[: lines.index(":quit")]
+    assert repl_failed == [False, True, True, True, True, False, False]
+    assert not any(run_failed[lines.index(":quit") :])
+    assert script.getvalue().endswith("3 assertions, 4 failures\n")
 
 
 def test_run_missing_file_exits_2(tmp_path, capsys):

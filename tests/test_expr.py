@@ -4,13 +4,20 @@ from __future__ import annotations
 
 import io
 import math
+import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import multivectors, wild_coeff
+import gacalc.expr
+from conftest import NESTINGS, multivectors, wild_coeff
 from gacalc import G2, G3, Multivector, Signature, SingularError, basis_vectors
 from gacalc.expr import (
+    FUNCTIONS,
+    MAX_DEPTH,
+    MAX_LANGUAGE_DIM,
     AssertOutcome,
     AssertStmt,
     BinOp,
@@ -209,6 +216,23 @@ def test_parse_error_spans_point_at_the_problem():
     assert err.value.span == (5, 6)
 
 
+@pytest.mark.parametrize("shape", NESTINGS)
+def test_nesting_up_to_the_depth_limit_evaluates(shape):
+    text, levels, coeff = NESTINGS[shape]
+    for n in (50, MAX_DEPTH // levels):
+        assert run(text(n)) == coeff(n) * E1, n
+
+
+@pytest.mark.parametrize("shape", NESTINGS)
+def test_nesting_beyond_the_depth_limit_is_a_parse_error(shape):
+    text, levels, _ = NESTINGS[shape]
+    for n in (MAX_DEPTH // levels + 1, 5000):
+        with pytest.raises(ParseError, match="nesting exceeds") as err:
+            parse_expression(text(n))
+        start, end = err.value.span
+        assert 0 <= start < end <= len(text(n))
+
+
 def test_parse_let_statement():
     assert parse_statement("let x = e1 + e2") == Let(
         "x", BinOp("+", BladeRef("e1"), BladeRef("e2"))
@@ -351,6 +375,42 @@ def test_eval_transform_functions():
     assert run("unstereo(0*e1)", env).is_close(E3, abs_tol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "text, kernel",
+    [
+        ("dual(e1)", "dual"),
+        ("cross(e1, e2)", "cross"),
+        ("proj(e1, e1)", "project"),
+        ("rej(e1, e2)", "reject"),
+        ("reflect(e3, e12)", "reflect_in_plane"),
+        ("reflectn(e3, e3)", "reflect_normal"),
+        ("rot(e1, 1)", "rotate"),
+        ("rotor(e1, e2)", "rotor_between"),
+        ("rotor2(e1, e2)", "rotor_from_reflections"),
+        ("stereo(e1)", "stereo_project"),
+        ("unstereo(0*e1)", "stereo_unproject"),
+        ("probp(e3, e1)", "prob_plus"),
+        ("probm(e3, e1)", "prob_minus"),
+        ("dist(0*e1, e3, e1 + e2)", "distance_to_line"),
+    ],
+)
+def test_registry_calls_the_kernel_by_module_name(monkeypatch, text, kernel):
+    # rebinding the module name must reach the call, as a tracer does
+    calls = []
+    original = getattr(gacalc.expr, kernel)
+    monkeypatch.setattr(gacalc.expr, kernel, lambda *args: calls.append(args) or original(*args))
+    run(text)
+    assert len(calls) == 1
+
+
+def test_readme_lists_the_function_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("Functions (fixed registry):", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"`([^`]+)`", paragraph) == [f.doc for f in FUNCTIONS.values()]
+    for name, function in FUNCTIONS.items():
+        assert function.doc.startswith(f"{name}(")
+
+
 def test_eval_grade_selector_must_be_integer():
     with pytest.raises(EvalError):
         run("grade(e1, 0.5)")
@@ -419,6 +479,14 @@ def test_print_parse_round_trip_is_exact(value):
 def test_round_trip_other_signature(value):
     env = Environment(sig=Signature(1, 1))
     assert run(str(value), env) == value
+
+
+def test_round_trip_of_a_dense_value_at_the_language_dimension():
+    # 512 printed terms nest one level each, so the depth limit must hold them
+    sig = Signature(MAX_LANGUAGE_DIM, 0)
+    rng = random.Random(9)
+    value = Multivector(sig, {bits: rng.uniform(-1, 1) for bits in range(1 << sig.dim)})
+    assert run(str(value), Environment(sig=sig)) == value
 
 
 def test_output_is_deterministic():
@@ -495,3 +563,12 @@ def test_repl_eval_error_continues():
     lines = out.splitlines()
     assert lines[0].startswith("error:")
     assert lines[1] == "2"
+
+
+def test_repl_survives_deep_nesting():
+    deep = "".join(f"{text(5000)}\n" for text, _, _ in NESTINGS.values())
+    code, out = repl(deep + "e1\n")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == len(NESTINGS) + 1
+    assert all(line.startswith("error: ") for line in lines[:-1])
+    assert lines[-1] == "1*e1"
