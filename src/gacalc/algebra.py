@@ -30,7 +30,10 @@ kernel derives from such operands (products, sums and differences,
 negation, scaling by a number, reverse, grade parts) are built by the
 internal ``Multivector._trusted``, which skips those checks and only
 drops exact zeros; a number lifted to a scalar is passed through
-``float()`` first.
+``float()`` first. Each argument guard is written once, here, and the
+other modules call it: ``require_same_sig``, ``require_g3``,
+``require_vector``, ``require_unit_vector``, ``vector_square``,
+``blade_square`` and ``non_scalar_norm``.
 
 All operations are pure functions of immutable values, so instances can
 be shared freely across threads.
@@ -75,7 +78,7 @@ __all__ = [
 DEFAULT_TOL = 1e-12
 MAX_DIM = 12
 
-# |a.a| at or below this counts as a null vector when inverting
+# |a.a| at or below this counts as a null vector
 _NULL_EPS = 1e-300
 
 
@@ -322,10 +325,7 @@ class Multivector:
 
     def _lift(self, other) -> "Multivector | None":
         if isinstance(other, Multivector):
-            if other.sig != self.sig:
-                raise SignatureMismatch(
-                    f"operands live in different algebras: {self.sig} vs {other.sig}"
-                )
+            require_same_sig(self, other)
             return other
         if isinstance(other, (int, float)):
             # float() keeps bools out of the terms and raises OverflowError
@@ -487,7 +487,7 @@ class Multivector:
         s = m.scalar_part()
         if abs(s) <= _NULL_EPS:
             raise SingularError("multivector has no inverse: A * ~A vanishes")
-        if _non_scalar_norm(m) > tol * max(1.0, abs(s)):
+        if non_scalar_norm(m) > tol * max(1.0, abs(s)):
             raise SingularError("multivector is not invertible by reversal")
         return rev / s
 
@@ -498,18 +498,11 @@ class Multivector:
         (a rotation generator); B*B = +phi^2 gives cosh(phi) +
         B sinh(phi)/phi; B = 0 gives 1. A bivector whose square is not
         scalar (a non-blade, possible from dimension 4 up) is rejected, and
-        so is one whose square is not finite or makes cosh overflow.
+        so is one whose square is not finite or whose exponential overflows.
         """
         if self.is_zero():
             return Multivector.scalar(self.sig, 1.0)
-        if self.grades() != (2,):
-            raise GradeError(f"exp expects a bivector, got grades {self.grades()}")
-        square = self * self
-        s = square.scalar_part()
-        if not math.isfinite(s):
-            raise AlgebraError(f"exp: the bivector square {s!r} is not finite")
-        if _non_scalar_norm(square) > tol * max(1.0, abs(s)):
-            raise NonBladeError("bivector square is not scalar: not a blade")
+        s = blade_square("exp", self, tol)
         if s <= 0.0:
             theta = math.sqrt(-s)
             scale = math.sin(theta) / theta if theta > 0.0 else 1.0
@@ -519,7 +512,11 @@ class Multivector:
             scale, shift = math.sinh(phi) / phi, math.cosh(phi)
         except OverflowError:
             raise AlgebraError(f"exp: the bivector square {s!r} overflows cosh") from None
-        return self * scale + shift
+        # unlike sin(theta)/theta <= 1 above, this scale can overflow a coefficient
+        result = self * scale + shift
+        if not all(map(math.isfinite, result._terms.values())):
+            raise AlgebraError(f"exp: a coefficient overflows for the bivector square {s!r}")
+        return result
 
     # -- comparison and display -------------------------------------------
 
@@ -570,7 +567,7 @@ def basis_vectors(sig: Signature) -> list[Multivector]:
     return [Multivector.blade(sig, 1 << i) for i in range(sig.dim)]
 
 
-def _non_scalar_norm(m: Multivector) -> float:
+def non_scalar_norm(m: Multivector) -> float:
     """Norm of m minus its scalar part: the residual of a "square is
     scalar" check. Sums the same terms in the same order as
     ``(m - m.scalar_part()).norm()`` without building that difference."""
@@ -582,31 +579,59 @@ def _non_scalar_norm(m: Multivector) -> float:
     return math.sqrt(abs(total))
 
 
-def _require_vector(name: str, a: Multivector) -> None:
+def require_same_sig(a: Multivector, b: Multivector) -> None:
+    # `is` first: Signature's dataclass __eq__ builds two tuples
+    if a.sig is not b.sig and a.sig != b.sig:
+        raise SignatureMismatch(f"operands live in different algebras: {a.sig} vs {b.sig}")
+
+
+def require_g3(name: str, a: Multivector) -> None:
+    if a.sig is not G3 and a.sig != G3:
+        raise SignatureMismatch(f"{name} is defined in G(3,0), got {a.sig}")
+
+
+def require_vector(name: str, a: Multivector) -> None:
     for bits in a._terms:
         # a vector blade has exactly one bit set
         if not bits or bits & (bits - 1):
             raise GradeError(f"{name} expects a vector (grade 1), got grades {a.grades()}")
 
 
-def _require_unit_vector(name: str, a: Multivector, tol: float) -> None:
-    _require_vector(name, a)
+def require_unit_vector(name: str, a: Multivector, tol: float) -> None:
+    require_vector(name, a)
     s = dot(a, a)
     if abs(s - 1.0) > tol:
         raise GradeError(f"{name} expects a unit vector, got squared length {s!r}")
 
 
-def _components(a: Multivector) -> list[float]:
-    return [a.coeff(1 << i) for i in range(a.sig.dim)]
+def vector_square(name: str, a: Multivector) -> float:
+    """a.a of the vector a, which must not be null."""
+    require_vector(name, a)
+    s = dot(a, a)
+    if abs(s) <= _NULL_EPS:
+        raise SingularError(f"{name} requires a vector with nonzero square")
+    return s
+
+
+def blade_square(name: str, B: Multivector, tol: float) -> float:
+    """Square s of the 2-blade B, checked finite and scalar to tol * max(1, |s|)."""
+    if B.grades() != (2,):
+        raise GradeError(f"{name} expects a bivector, got grades {B.grades()}")
+    square = B * B
+    s = square.scalar_part()
+    if not math.isfinite(s):
+        raise AlgebraError(f"{name}: the bivector square {s!r} is not finite")
+    if non_scalar_norm(square) > tol * max(1.0, abs(s)):
+        raise NonBladeError(f"{name} expects a 2-blade: the bivector square is not scalar")
+    return s
 
 
 def dot(a: Multivector, b: Multivector) -> float:
     """Inner product of two vectors as a plain float: the symmetric part
     (ab + ba)/2, which reduces to the metric-weighted component sum."""
-    _require_vector("dot", a)
-    _require_vector("dot", b)
-    if a.sig != b.sig:
-        raise SignatureMismatch(f"operands live in different algebras: {a.sig} vs {b.sig}")
+    require_vector("dot", a)
+    require_vector("dot", b)
+    require_same_sig(a, b)
     total = 0.0
     p = a.sig.p
     rhs = b._terms
@@ -621,7 +646,7 @@ def dot(a: Multivector, b: Multivector) -> float:
 def dot_bivector(a: Multivector, B: Multivector) -> Multivector:
     """Inner product of a vector with a bivector: the grade-1 value
     (aB - Ba)/2, the in-plane part of a rotated a quarter turn."""
-    _require_vector("dot_bivector", a)
+    require_vector("dot_bivector", a)
     if B.grades() not in ((), (2,)):
         raise GradeError(f"dot_bivector expects a bivector, got grades {B.grades()}")
     return a | B
@@ -630,11 +655,10 @@ def dot_bivector(a: Multivector, B: Multivector) -> Multivector:
 def cross(a: Multivector, b: Multivector) -> Multivector:
     """Classical cross product in G(3,0), by determinant expansion."""
     for v in (a, b):
-        if v.sig != G3:
-            raise SignatureMismatch(f"cross product lives in G(3,0), got {v.sig}")
-        _require_vector("cross", v)
-    a1, a2, a3 = _components(a)
-    b1, b2, b3 = _components(b)
+        require_g3("cross", v)
+        require_vector("cross", v)
+    a1, a2, a3 = (a.coeff(bits) for bits in (0b001, 0b010, 0b100))
+    b1, b2, b3 = (b.coeff(bits) for bits in (0b001, 0b010, 0b100))
     return Multivector.vector(
         G3,
         [a2 * b3 - a3 * b2, -(a1 * b3 - a3 * b1), a1 * b2 - a2 * b1],
@@ -644,18 +668,13 @@ def cross(a: Multivector, b: Multivector) -> Multivector:
 def dual(A: Multivector) -> Multivector:
     """Multiply by the G(3,0) pseudoscalar e123 on the left, exchanging
     each blade with its orthogonal complement (vectors with bivectors)."""
-    if A.sig != G3:
-        raise SignatureMismatch(f"dual is defined in G(3,0), got {A.sig}")
+    require_g3("dual", A)
     return Multivector.blade(G3, 0b111) * A
 
 
 def vector_inverse(a: Multivector) -> Multivector:
     """Inverse of a nonzero vector: a / (a.a)."""
-    _require_vector("vector_inverse", a)
-    s = dot(a, a)
-    if abs(s) <= _NULL_EPS:
-        raise SingularError("vector inverse requires a nonzero, non-null vector")
-    return a / s
+    return a / vector_square("vector_inverse", a)
 
 
 # a Cayley table has 4**dim entries; dimension 6 keeps it at 64 x 64

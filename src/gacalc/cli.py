@@ -90,6 +90,14 @@ def run_script(path: str, env: Environment, stdout: TextIO) -> int:
     return 1 if failures else 0
 
 
+def _signature_arg(text: str) -> Signature:
+    # argparse drops a ValueError's message but prints an ArgumentTypeError's
+    try:
+        return parse_signature(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ga", description="Geometric algebra calculator."
@@ -99,20 +107,20 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd_eval = commands.add_parser("eval", help="evaluate one expression")
     cmd_eval.add_argument("expr", help="expression to evaluate")
     cmd_eval.add_argument(
-        "--sig", type=parse_signature, default=Signature(3, 0), metavar="p,q",
+        "--sig", type=_signature_arg, default=Signature(3, 0), metavar="p,q",
         help="algebra signature (default 3,0)",
     )
     cmd_eval.add_argument("--json", action="store_true", help="emit JSON")
 
     cmd_repl = commands.add_parser("repl", help="interactive session")
     cmd_repl.add_argument(
-        "--sig", type=parse_signature, default=Signature(3, 0), metavar="p,q",
+        "--sig", type=_signature_arg, default=Signature(3, 0), metavar="p,q",
         help="starting signature (default 3,0)",
     )
 
     cmd_table = commands.add_parser("table", help="print a Cayley table")
     cmd_table.add_argument(
-        "--sig", type=parse_signature, required=True, metavar="p,q",
+        "--sig", type=_signature_arg, required=True, metavar="p,q",
         help="algebra signature",
     )
     cmd_table.add_argument("--json", action="store_true", help="emit JSON")

@@ -14,16 +14,16 @@ from dataclasses import dataclass
 
 from gacalc.algebra import (
     DEFAULT_TOL,
-    G3,
     GradeError,
     Multivector,
     NonBladeError,
-    SignatureMismatch,
     SingularError,
-    _non_scalar_norm,
-    _require_vector,
+    blade_square,
     dot,
     dual,
+    require_g3,
+    require_same_sig,
+    require_vector,
 )
 
 __all__ = [
@@ -44,11 +44,6 @@ __all__ = [
 _DEGENERATE_SINE = 1e-10
 
 
-def _check_same_sig(a: Multivector, b: Multivector, what: str) -> None:
-    if a.sig != b.sig:
-        raise SignatureMismatch(f"{what} mixes algebras: {a.sig} vs {b.sig}")
-
-
 @dataclass(frozen=True)
 class Line:
     """Line through ``point`` with direction ``direction`` (nonzero,
@@ -58,9 +53,9 @@ class Line:
     direction: Multivector
 
     def __post_init__(self) -> None:
-        _require_vector("Line.point", self.point)
-        _require_vector("Line.direction", self.direction)
-        _check_same_sig(self.point, self.direction, "Line")
+        require_vector("Line.point", self.point)
+        require_vector("Line.direction", self.direction)
+        require_same_sig(self.point, self.direction)
         if dot(self.direction, self.direction) <= 0.0:
             raise SingularError("Line.direction must have positive square")
 
@@ -74,16 +69,10 @@ class Plane:
     bivector: Multivector
 
     def __post_init__(self) -> None:
-        _require_vector("Plane.point", self.point)
-        _check_same_sig(self.point, self.bivector, "Plane")
-        if self.bivector.grades() != (2,):
-            raise GradeError(
-                f"Plane.bivector must be grade 2, got grades {self.bivector.grades()}"
-            )
-        square = self.bivector * self.bivector
-        s = square.scalar_part()
-        if _non_scalar_norm(square) > DEFAULT_TOL * max(1.0, abs(s)) or s >= 0.0:
-            raise NonBladeError("Plane.bivector must be a blade with negative square")
+        require_vector("Plane.point", self.point)
+        require_same_sig(self.point, self.bivector)
+        if blade_square("Plane.bivector", self.bivector, DEFAULT_TOL) >= 0.0:
+            raise NonBladeError("Plane.bivector must have negative square")
 
 
 def _unit(a: Multivector) -> Multivector:
@@ -93,7 +82,7 @@ def _unit(a: Multivector) -> Multivector:
 def line_contains(line: Line, x: Multivector, tol: float = DEFAULT_TOL) -> bool:
     """Whether x lies on the line: the offset from the anchor has no
     component wedging with the direction, up to a scaled tolerance."""
-    _require_vector("line_contains", x)
+    require_vector("line_contains", x)
     offset = x - line.point
     gap = ((offset ^ line.direction)).norm()
     scale = line.direction.norm() * max(1.0, offset.norm())
@@ -103,7 +92,7 @@ def line_contains(line: Line, x: Multivector, tol: float = DEFAULT_TOL) -> bool:
 def closest_point_on_line(line: Line, p: Multivector) -> Multivector:
     """Foot of the perpendicular from p: anchor plus the projection of
     the offset onto the unit direction."""
-    _require_vector("closest_point_on_line", p)
+    require_vector("closest_point_on_line", p)
     a_hat = _unit(line.direction)
     return line.point + a_hat * dot(p - line.point, a_hat)
 
@@ -111,7 +100,7 @@ def closest_point_on_line(line: Line, p: Multivector) -> Multivector:
 def distance_to_line(line: Line, p: Multivector) -> float:
     """Perpendicular distance from p to the line, via the Pythagorean
     split of the offset into along-line and across-line parts."""
-    _require_vector("distance_to_line", p)
+    require_vector("distance_to_line", p)
     offset = line.point - p
     a_hat = _unit(line.direction)
     along = dot(offset, a_hat)
@@ -122,7 +111,7 @@ def distance_to_line(line: Line, p: Multivector) -> float:
 def plane_contains(plane: Plane, x: Multivector, tol: float = DEFAULT_TOL) -> bool:
     """Whether x lies in the plane: the offset wedges to nothing with
     the spanning bivector, up to a scaled tolerance."""
-    _require_vector("plane_contains", x)
+    require_vector("plane_contains", x)
     offset = x - plane.point
     gap = (offset ^ plane.bivector).norm()
     scale = plane.bivector.norm() * max(1.0, offset.norm())
@@ -132,8 +121,7 @@ def plane_contains(plane: Plane, x: Multivector, tol: float = DEFAULT_TOL) -> bo
 def plane_normal(plane: Plane) -> Multivector:
     """Normal vector of a G(3,0) plane: the negated dual -e123 B, which
     matches the cross product of any spanning pair."""
-    if plane.bivector.sig != G3:
-        raise SignatureMismatch(f"plane_normal is defined in G(3,0), got {plane.bivector.sig}")
+    require_g3("plane_normal", plane.bivector)
     return -dual(plane.bivector)
 
 
@@ -152,9 +140,9 @@ class Triangle:
 
     def __post_init__(self) -> None:
         for name, side in (("a", self.a), ("b", self.b), ("c", self.c)):
-            _require_vector(f"Triangle.{name}", side)
-        _check_same_sig(self.a, self.b, "Triangle")
-        _check_same_sig(self.a, self.c, "Triangle")
+            require_vector(f"Triangle.{name}", side)
+        require_same_sig(self.a, self.b)
+        require_same_sig(self.a, self.c)
         if self.a + self.b != self.c:
             raise GradeError("Triangle sides must satisfy a + b = c exactly")
 

@@ -22,12 +22,12 @@ from gacalc.algebra import (
     G3,
     GradeError,
     Multivector,
-    SignatureMismatch,
     SingularError,
-    _require_unit_vector,
-    _require_vector,
     dot,
     dual,
+    require_g3,
+    require_unit_vector,
+    require_vector,
     vector_inverse,
 )
 
@@ -53,15 +53,13 @@ _POLE = Multivector.blade(G3, 0b100)
 
 
 def _require_sphere_point(name: str, a: Multivector, tol: float) -> None:
-    if a.sig != G3:
-        raise SignatureMismatch(f"{name} is defined in G(3,0), got {a.sig}")
-    _require_unit_vector(name, a, tol)
+    require_g3(name, a)
+    require_unit_vector(name, a, tol)
 
 
 def _require_plane_point(name: str, x: Multivector, tol: float) -> None:
-    if x.sig != G3:
-        raise SignatureMismatch(f"{name} is defined in G(3,0), got {x.sig}")
-    _require_vector(name, x)
+    require_g3(name, x)
+    require_vector(name, x)
     if abs(x.coeff(0b100)) > tol:
         raise GradeError(f"{name} expects a point in the equatorial plane (x.e3 = 0)")
 

@@ -16,11 +16,12 @@ from gacalc.algebra import (
     Multivector,
     NonBladeError,
     SingularError,
-    _NULL_EPS,
-    _non_scalar_norm,
-    _require_unit_vector,
-    _require_vector,
+    blade_square,
     dot,
+    non_scalar_norm,
+    require_unit_vector,
+    require_vector,
+    vector_square,
 )
 
 __all__ = [
@@ -35,55 +36,38 @@ __all__ = [
 ]
 
 
-def _direction_square(name: str, a: Multivector) -> float:
-    _require_vector(name, a)
-    s = dot(a, a)
-    if abs(s) <= _NULL_EPS:
-        raise SingularError(f"{name} requires a direction with nonzero square")
-    return s
-
-
 def project(x: Multivector, a: Multivector) -> Multivector:
     """Component of x along the direction a: (x.a^)a^ for unit a^,
     computed as (x.a) a / (a.a) so any nonzero scale of a works."""
-    _require_vector("project", x)
-    return a * (dot(x, a) / _direction_square("project", a))
+    require_vector("project", x)
+    return a * (dot(x, a) / vector_square("project", a))
 
 
 def reject(x: Multivector, a: Multivector) -> Multivector:
     """Component of x orthogonal to a: (x^a^)a^, the wedge route, so
     that project + reject recovering x is a real check rather than a
     bookkeeping identity."""
-    _require_vector("reject", x)
-    s = _direction_square("reject", a)
+    require_vector("reject", x)
+    s = vector_square("reject", a)
     return (((x ^ a) * a) / s).grade(1)
-
-
-def _check_unit_plane(name: str, B: Multivector, tol: float) -> None:
-    if B.grades() != (2,):
-        raise GradeError(f"{name} expects a bivector, got grades {B.grades()}")
-    square = B * B
-    s = square.scalar_part()
-    if _non_scalar_norm(square) > tol * max(1.0, abs(s)):
-        raise NonBladeError(f"{name} expects a 2-blade (square must be scalar)")
-    if abs(s + 1.0) > tol:
-        raise NonBladeError(f"{name} expects a unit plane: B*B = -1, got {s!r}")
 
 
 def reflect_in_plane(x: Multivector, B: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
     """Mirror x in the plane of the unit 2-blade B: the sandwich B x B
     keeps the in-plane part and flips the orthogonal part. Works in any
     dimension."""
-    _require_vector("reflect_in_plane", x)
-    _check_unit_plane("reflect_in_plane", B, tol)
+    require_vector("reflect_in_plane", x)
+    s = blade_square("reflect_in_plane", B, tol)
+    if abs(s + 1.0) > tol:
+        raise NonBladeError(f"reflect_in_plane expects a unit plane: B*B = -1, got {s!r}")
     return (B * x * B).grade(1)
 
 
 def reflect_normal(x: Multivector, n: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
     """Mirror x through the hyperplane orthogonal to the unit vector n:
     -n x n. In G(3,0) this equals reflect_in_plane(x, dual(n))."""
-    _require_vector("reflect_normal", x)
-    _require_unit_vector("reflect_normal", n, tol)
+    require_vector("reflect_normal", x)
+    require_unit_vector("reflect_normal", n, tol)
     return -(n * x * n).grade(1)
 
 
@@ -91,7 +75,7 @@ def _check_rotor(name: str, R: Multivector, tol: float) -> None:
     if any(g not in (0, 2) for g in R.grades()):
         raise GradeError(f"{name} expects a rotor (grades 0 and 2), got grades {R.grades()}")
     m = R * R.reverse()
-    if abs(m.scalar_part() - 1.0) > tol or _non_scalar_norm(m) > tol:
+    if abs(m.scalar_part() - 1.0) > tol or non_scalar_norm(m) > tol:
         raise NonBladeError(f"{name} expects a unit rotor: R * ~R must be 1")
 
 
@@ -99,8 +83,8 @@ def rotor_between(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL) -> M
     """Rotor turning unit vector a into unit vector b through their
     common plane: (1 + b a) normalized. Antipodal inputs leave the
     rotation plane undefined and are rejected."""
-    _require_unit_vector("rotor_between", a, tol)
-    _require_unit_vector("rotor_between", b, tol)
+    require_unit_vector("rotor_between", a, tol)
+    require_unit_vector("rotor_between", b, tol)
     if 1.0 + dot(a, b) <= tol:
         raise SingularError("rotor_between is undefined for antipodal vectors")
     r = 1 + b * a
@@ -110,7 +94,7 @@ def rotor_between(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL) -> M
 def rotate(x: Multivector, R: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
     """Apply the rotor R to the vector x by the two-sided sandwich
     R x ~R. R and -R rotate identically."""
-    _require_vector("rotate", x)
+    require_vector("rotate", x)
     _check_rotor("rotate", R, tol)
     return (R * x * R.reverse()).grade(1)
 
@@ -121,8 +105,8 @@ def rotor_from_reflections(
     """Rotor equivalent to reflecting in the n1 hyperplane and then the
     n2 hyperplane: the product n2 n1. The rotation angle is twice the
     angle between the two unit normals."""
-    _require_unit_vector("rotor_from_reflections", n1, tol)
-    _require_unit_vector("rotor_from_reflections", n2, tol)
+    require_unit_vector("rotor_from_reflections", n1, tol)
+    require_unit_vector("rotor_from_reflections", n2, tol)
     return n2 * n1
 
 

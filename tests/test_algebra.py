@@ -31,7 +31,7 @@ from gacalc import (
     dual,
     vector_inverse,
 )
-from gacalc.algebra import _non_scalar_norm
+from gacalc.algebra import non_scalar_norm
 
 from conftest import SMALL_SIGNATURES, multivectors, vectors, wild_coeff
 from oracles import (
@@ -443,6 +443,16 @@ def test_exp_rejects_a_square_that_overflows_cosh():
     assert near.coeff(0b11) == pytest.approx(math.sinh(700.0), rel=1e-12)
 
 
+def test_exp_rejects_a_coefficient_that_overflows():
+    # in G(2,1), e13 squares to +1 and e12 to -1, so huge coefficients
+    # can leave a moderate square: B*B ~ 4.9e5, cosh(700) is finite, but
+    # 1e10 * sinh(700)/700 is not
+    sig = Signature(2, 1)
+    B = Multivector(sig, {0b101: 1e10, 0b011: math.sqrt(1e20 - 490000)})
+    with pytest.raises(AlgebraError, match="overflows"):
+        B.exp()
+
+
 def test_exp_hyperbolic_branch():
     sig = Signature(1, 1)
     B = Multivector.blade(sig, 0b11, 0.75)  # B*B = +0.5625
@@ -577,4 +587,4 @@ def test_lifted_numbers_are_stored_as_floats():
 def test_non_scalar_norm_matches_the_difference_norm(sig):
     for A in seeded_operands(sig, 2):
         for m in (A, A * ~A, A * A, A + 1.5, A.grade(0), A - A.scalar_part()):
-            assert _non_scalar_norm(m) == (m - m.scalar_part()).norm()
+            assert non_scalar_norm(m) == (m - m.scalar_part()).norm()

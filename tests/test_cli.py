@@ -85,6 +85,20 @@ def test_eval_bad_signature_exits_2(capsys):
     assert main(["eval", "e1", "--sig", "12,0"]) == 2
 
 
+def test_exp_coefficient_overflow_exits_1(capsys):
+    B = "1e+10*e13 + 9999999999.999975*e12"  # B*B ~ 4.9e5, scale ~ 1e301
+    assert main(["eval", "--sig", "2,1", f"exp({B})"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ga: ") and "overflows" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [["eval", "e1"], ["repl"], ["table"]])
+def test_bad_signature_prints_the_reason(capsys, command):
+    assert main([*command, "--sig", "10,0"]) == 2
+    assert "dimension 10 exceeds the language limit 9" in capsys.readouterr().err
+
+
 # -- table ---------------------------------------------------------------
 
 
