@@ -99,7 +99,7 @@ class EvalError(ValueError):
 # -- lexer ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     kind: str  # number | ident | operator | paren | comma | assign
     lexeme: str
@@ -107,9 +107,20 @@ class Token:
     end: int
 
 
+# A decimal point counts only when a digit follows, so "2." is the number 2
+# and then a contraction operator. An exponent needs an explicit sign, so
+# "1e-5" is one number but "1e5" is the number 1 followed by the blade e5.
+# [0-9] is ASCII only; str.isdigit would let other scripts' digits through.
+_NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-][0-9]+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _BLADE_RE = re.compile(r"e[0-9]+")
-_OPERATORS = frozenset("+-*/^.~")
+# the kind of each one-character token
+_SINGLE = {
+    **dict.fromkeys("+-*/^.~", "operator"),
+    **dict.fromkeys("()", "paren"),
+    ",": "comma",
+    "=": "assign",
+}
 _KEYWORDS = frozenset({"let", "assert"})
 
 
@@ -121,15 +132,6 @@ def _check_blade_ident(lexeme: str, start: int, end: int) -> None:
         raise LexError(
             f"non-canonical blade '{lexeme}'; indices must strictly ascend", start, end
         )
-
-
-def _is_digit(c: str) -> bool:
-    # ASCII only; unicode digits would otherwise sneak through str.isdigit
-    return "0" <= c <= "9"
-
-
-def _is_ident_start(c: str) -> bool:
-    return c == "_" or "a" <= c <= "z" or "A" <= c <= "Z"
 
 
 def tokenize(text: str) -> list[Token]:
@@ -145,83 +147,62 @@ def tokenize(text: str) -> list[Token]:
         if c == "#":
             break
         start = i
-        if _is_digit(c):
-            i += 1
-            while i < n and _is_digit(text[i]):
-                i += 1
-            # a decimal point counts only when a digit follows, so "2." is
-            # the number 2 and then a contraction operator
-            if i + 1 < n and text[i] == "." and _is_digit(text[i + 1]):
-                i += 2
-                while i < n and _is_digit(text[i]):
-                    i += 1
-            # an exponent needs an explicit sign: "1e-5" is one number but
-            # "1e5" is the number 1 followed by the blade e5
-            if i + 2 < n and text[i] in "eE" and text[i + 1] in "+-" and _is_digit(text[i + 2]):
-                i += 3
-                while i < n and _is_digit(text[i]):
-                    i += 1
+        if "0" <= c <= "9":
+            i = _NUMBER_RE.match(text, start).end()
             tokens.append(Token("number", text[start:i], start, i))
-            continue
-        if _is_ident_start(c):
-            match = _IDENT_RE.match(text, i)
-            assert match is not None
-            lexeme = match.group(0)
-            i = match.end()
+        elif c == "_" or "a" <= c <= "z" or "A" <= c <= "Z":
+            i = _IDENT_RE.match(text, start).end()
+            lexeme = text[start:i]
             if _BLADE_RE.fullmatch(lexeme):
                 _check_blade_ident(lexeme, start, i)
             tokens.append(Token("ident", lexeme, start, i))
-            continue
-        if c in _OPERATORS:
-            tokens.append(Token("operator", c, i, i + 1))
-        elif c in "()":
-            tokens.append(Token("paren", c, i, i + 1))
-        elif c == ",":
-            tokens.append(Token("comma", c, i, i + 1))
-        elif c == "=":
-            tokens.append(Token("assign", c, i, i + 1))
         else:
-            raise LexError(f"unknown character {c!r}", i, i + 1)
-        i += 1
+            kind = _SINGLE.get(c)
+            if kind is None:
+                raise LexError(f"unknown character {c!r}", i, i + 1)
+            i += 1
+            tokens.append(Token(kind, c, start, i))
     return tokens
 
 
 # -- syntax tree ---------------------------------------------------------
 
+# Tokens and nodes are never changed once built. They are not frozen,
+# because a frozen dataclass costs about three times as much to build.
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Num:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BladeRef:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Neg:
     operand: "AstNode"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Rev:
     operand: "AstNode"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BinOp:
     op: str  # one of + - * / ^ .
     left: "AstNode"
     right: "AstNode"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Call:
     name: str
     args: tuple["AstNode", ...]
@@ -230,20 +211,20 @@ class Call:
 AstNode = Union[Num, BladeRef, Var, Neg, Rev, BinOp, Call]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Let:
     name: str
     expr: AstNode
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AssertStmt:
     left: AstNode
     right: AstNode
     tol: float | None  # None means the environment default
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExprStmt:
     expr: AstNode
 
@@ -265,6 +246,8 @@ def _grade_selector(arg: Multivector) -> int:
     if arg.grades() not in ((), (0,)):
         raise EvalError("grade() selector must be a number")
     k = arg.scalar_part()
+    if not math.isfinite(k):
+        raise EvalError("grade() selector must be a finite integer")
     if k != int(k):
         raise EvalError("grade() selector must be an integer")
     return int(k)
@@ -553,25 +536,36 @@ class Environment:
         self.bindings.clear()
 
 
+# blade name -> bitmask; the lexer admits at most 511 blade names
+_BLADE_BITS: dict[str, int] = {}
+
+
 def evaluate(node: AstNode, env: Environment) -> Multivector:
-    if isinstance(node, Num):
-        return Multivector.scalar(env.sig, node.value)
-    if isinstance(node, BladeRef):
-        indices = tuple(int(ch) for ch in node.name[1:])
-        if max(indices) > env.sig.dim:
-            raise EvalError(f"blade '{node.name}' does not fit in {env.sig}")
-        return Multivector.blade(env.sig, blade_bits(indices))
-    if isinstance(node, Var):
+    # one Python frame per nesting level, which MAX_DEPTH relies on: every
+    # node type is tested here, the most frequent first, and the recursion
+    # goes through the module-level name, so a tracer that rebinds it sees
+    # each call
+    t = type(node)
+    if t is BinOp:
+        return _BINARY[node.op][1](evaluate(node.left, env), evaluate(node.right, env))
+    if t is Num:
+        return Multivector._trusted(env.sig, {0: node.value})
+    if t is Var:
         try:
             return env.bindings[node.name]
         except KeyError:
             raise EvalError(f"unbound variable '{node.name}'") from None
-    if isinstance(node, Neg):
+    if t is BladeRef:
+        bits = _BLADE_BITS.get(node.name)
+        if bits is None:
+            bits = _BLADE_BITS[node.name] = blade_bits(int(ch) for ch in node.name[1:])
+        if bits >> env.sig.dim:
+            raise EvalError(f"blade '{node.name}' does not fit in {env.sig}")
+        return Multivector._trusted(env.sig, {bits: 1.0})
+    if t is Neg:
         return -evaluate(node.operand, env)
-    if isinstance(node, Rev):
+    if t is Rev:
         return ~evaluate(node.operand, env)
-    if isinstance(node, BinOp):
-        return _BINARY[node.op][1](evaluate(node.left, env), evaluate(node.right, env))
     function = FUNCTIONS.get(node.name)
     if function is None:
         raise EvalError(f"unknown function '{node.name}'")

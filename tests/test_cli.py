@@ -73,6 +73,14 @@ def test_eval_exp_overflow_exits_1(capsys):
     assert "inf" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("selector", ["1e+400", "1e+400 - 1e+400"])
+def test_eval_non_finite_grade_selector_exits_1(capsys, selector):
+    assert main(["eval", f"grade(e1, {selector})"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "ga: grade() selector must be a finite integer\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("shape", NESTINGS)
 def test_eval_deep_nesting_exits_2(capsys, shape):
     assert main(["eval", "--", NESTINGS[shape][0](5000)]) == 2
@@ -159,6 +167,15 @@ def test_repl_survives_exp_overflow(capsys, monkeypatch):
     assert main(["repl", "--sig", "1,1"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("error: ") and out.endswith("\n1*e12\n")
+
+
+def test_repl_survives_non_finite_grade_selector(capsys, monkeypatch):
+    lines = "grade(e1, 1e+400)\ngrade(e1, 1e+400 - 1e+400)\ne1*e2\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    assert main(["repl"]) == 0
+    assert capsys.readouterr().out == (
+        "error: grade() selector must be a finite integer\n" * 2 + "1*e12\n"
+    )
 
 
 def test_repl_with_signature(capsys, monkeypatch):

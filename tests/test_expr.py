@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 import random
@@ -39,6 +40,7 @@ from gacalc.expr import (
     parse_signature,
     parse_statement,
     repl_loop,
+    run_line,
     tokenize,
 )
 
@@ -233,6 +235,36 @@ def test_nesting_beyond_the_depth_limit_is_a_parse_error(shape):
         assert 0 <= start < end <= len(text(n))
 
 
+SYNTAX_CLASSES = {
+    gacalc.expr.Token: ("kind", "lexeme", "start", "end"),
+    Num: ("value",),
+    BladeRef: ("name",),
+    Var: ("name",),
+    Neg: ("operand",),
+    Rev: ("operand",),
+    BinOp: ("op", "left", "right"),
+    Call: ("name", "args"),
+    Let: ("name", "expr"),
+    AssertStmt: ("left", "right", "tol"),
+    ExprStmt: ("expr",),
+}
+
+
+@pytest.mark.parametrize("cls", SYNTAX_CLASSES, ids=lambda cls: cls.__name__)
+def test_tokens_and_nodes_are_dataclasses_with_fixed_fields(cls):
+    assert dataclasses.is_dataclass(cls)
+    assert tuple(f.name for f in dataclasses.fields(cls)) == SYNTAX_CLASSES[cls]
+
+
+def test_distinct_node_types_never_compare_equal():
+    a = Var("a")
+    nodes = [Neg(a), Rev(a), a, BladeRef("a"), Num(1.0), Var("x"), ExprStmt(a), Let("a", a)]
+    for i, left in enumerate(nodes):
+        for j, right in enumerate(nodes):
+            assert (left == right) == (i == j)
+    assert Neg(Var("a")) == Neg(Var("a"))
+
+
 def test_parse_let_statement():
     assert parse_statement("let x = e1 + e2") == Let(
         "x", BinOp("+", BladeRef("e1"), BladeRef("e2"))
@@ -418,6 +450,12 @@ def test_eval_grade_selector_must_be_integer():
         run("grade(e1, e2)")
 
 
+@pytest.mark.parametrize("selector", ["1e+400", "1e+400 - 1e+400"])
+def test_eval_grade_selector_must_be_finite(selector):
+    done = run_line(f"grade(e1, {selector})", Environment())
+    assert done.error == "grade() selector must be a finite integer"
+
+
 def test_eval_unbound_variable():
     with pytest.raises(EvalError) as err:
         run("nope + 1")
@@ -430,6 +468,30 @@ def test_eval_blade_outside_signature():
         run("e3", env)
     with pytest.raises(EvalError):
         run("e123", env)
+
+
+def test_blade_lookup_follows_the_environment_signature():
+    node = BladeRef("e4")
+    assert evaluate(node, Environment(sig=Signature(4, 1))) == Multivector.blade(
+        Signature(4, 1), 0b1000
+    )
+    with pytest.raises(EvalError, match="does not fit"):
+        evaluate(node, Environment(sig=G3))
+
+
+def test_literals_match_the_checked_constructor_bit_for_bit():
+    def bits(value):
+        return value.sig, {b: c.hex() for b, c in value.terms.items()}
+
+    sig = Signature(MAX_LANGUAGE_DIM, 0)
+    env = Environment(sig=sig)
+    for mask in range(1, 1 << sig.dim):
+        name = "e" + "".join(str(i + 1) for i in range(sig.dim) if mask >> i & 1)
+        assert bits(evaluate(BladeRef(name), env)) == bits(Multivector.blade(sig, mask))
+    for lexeme in ["0", "0.0", "0e+5", "1", "2.5", "1e-320", "1e+308", "1e+400"]:
+        value = evaluate(parse_expression(lexeme), env)
+        assert bits(value) == bits(Multivector.scalar(sig, float(lexeme)))
+        assert 0.0 not in value.terms.values()
 
 
 def test_eval_division_errors_propagate():
