@@ -73,6 +73,7 @@ from gacalc.expr import (
     parse_expression,
     parse_signature,
     parse_statement,
+    parse_tolerance,
     repl_loop,
     tokenize,
 )

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import TextIO
@@ -31,6 +30,7 @@ from .expr import (
     evaluate,
     parse_expression,
     parse_signature,
+    parse_tolerance,
     repl_loop,
     run_line,
 )
@@ -131,19 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tolerance_from_environ() -> float:
-    text = os.environ.get("GA_TOL")
-    if text is None:
-        return DEFAULT_TOL
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"invalid GA_TOL {text!r}") from None
-    if not math.isfinite(value) or value <= 0:
-        raise ValueError("GA_TOL must be a positive finite number")
-    return value
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -151,10 +138,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 after --help
         return int(exc.code or 0)
+    text = os.environ.get("GA_TOL")
     try:
-        tol = _tolerance_from_environ()
+        tol = DEFAULT_TOL if text is None else parse_tolerance(text)
     except ValueError as exc:
-        sys.stderr.write(f"ga: {exc}\n")
+        sys.stderr.write(f"ga: GA_TOL: {exc}\n")
         return 2
 
     if args.command == "eval":

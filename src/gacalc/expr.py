@@ -70,6 +70,7 @@ __all__ = [
     "parse_expression",
     "parse_signature",
     "parse_statement",
+    "parse_tolerance",
     "repl_loop",
     "run_line",
     "tokenize",
@@ -101,7 +102,7 @@ class EvalError(ValueError):
 
 @dataclass(slots=True)
 class Token:
-    kind: str  # number | ident | operator | paren | comma | assign
+    kind: str  # number | ident | operator | paren | comma | assign, or the parser's end
     lexeme: str
     start: int
     end: int
@@ -312,79 +313,115 @@ _BINARY = {
 
 
 class _Parser:
+    """One cursor over a line's tokens, which ends in an ``end`` token at
+    the end-of-input offset, so ``peek`` always has a token to show."""
+
     def __init__(self, tokens: list[Token]) -> None:
-        self._tokens = tokens
+        at = tokens[-1].end if tokens else 0
+        self._tokens = [*tokens, Token("end", "", at, at)]
         self._pos = 0
 
-    def peek(self) -> Token | None:
-        if self._pos < len(self._tokens):
-            return self._tokens[self._pos]
-        return None
+    def peek(self) -> Token:
+        return self._tokens[self._pos]
 
     def advance(self) -> Token:
         tok = self._tokens[self._pos]
         self._pos += 1
         return tok
 
-    def _fail_eof(self, expected: str) -> None:
-        at = self._tokens[-1].end if self._tokens else 0
-        raise ParseError(f"unexpected end of input; expected {expected}", at, at)
+    def expect(self, lexemes: tuple[str, ...], expected: str) -> Token:
+        tok = self.advance()
+        if tok.lexeme not in lexemes:
+            if tok.kind == "end":
+                raise _unexpected(tok, expected)
+            raise ParseError(f"expected {expected}, found {tok.lexeme!r}", tok.start, tok.end)
+        return tok
 
     def expect_end(self) -> None:
         tok = self.peek()
-        if tok is not None:
+        if tok.kind != "end":
             raise ParseError(f"unexpected {tok.lexeme!r}", tok.start, tok.end)
 
-    def _at_paren(self, lexeme: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "paren" and tok.lexeme == lexeme
+    def _too_deep(self, tok: Token) -> None:
+        raise ParseError(f"expression nesting exceeds {MAX_DEPTH} levels", tok.start, tok.end)
 
-    def _too_deep(self, tok: Token | None) -> None:
-        at = (tok.start, tok.end) if tok is not None else (self._tokens[-1].end,) * 2
-        raise ParseError(f"expression nesting exceeds {MAX_DEPTH} levels", *at)
+    def _at_separator(self) -> bool:
+        # the '~' under the cursor separates an assert's two sides when the
+        # next token can start an expression; otherwise it is a reverse
+        following = self._tokens[self._pos + 1]
+        return following.kind in ("number", "ident") or following.lexeme in ("(", "-")
 
-    def _close(self, comma: bool) -> Token:
-        """Consume the ')' that ends a parenthesised list, or a ',' between
-        a call's arguments when ``comma`` is set."""
-        expected = "',' or ')'" if comma else "')'"
-        tok = self.peek()
-        if tok is None:
-            self._fail_eof(expected)
-        assert tok is not None
-        if not (self._at_paren(")") or (comma and tok.kind == "comma")):
-            raise ParseError(f"expected {expected}, found {tok.lexeme!r}", tok.start, tok.end)
-        return self.advance()
+    def statement(self) -> Statement:
+        head = self.peek()
+        if head.lexeme == "let":
+            self.advance()
+            name_tok = self.advance()
+            if name_tok.kind != "ident":
+                raise ParseError("expected a name after 'let'", head.start, head.end)
+            name = name_tok.lexeme
+            if name in _KEYWORDS:
+                raise ParseError(f"'{name}' is a reserved word", name_tok.start, name_tok.end)
+            if _BLADE_RE.fullmatch(name):
+                raise ParseError(
+                    f"cannot bind basis blade '{name}'", name_tok.start, name_tok.end
+                )
+            if self.advance().kind != "assign":
+                raise ParseError("expected '=' after the name", name_tok.start, name_tok.end)
+            return Let(name, self.expression())
+        if head.lexeme == "assert":
+            self.advance()
+            left = self.parse_expr(sep=True)[0]
+            self.expect(("~",), "'~' between two expressions")
+            right = self.parse_expr()[0]
+            tol: float | None = None
+            tok = self.peek()
+            if tok.kind == "number":
+                self.advance()
+                tol = float(tok.lexeme)
+                if not math.isfinite(tol):
+                    raise ParseError(
+                        f"assert tolerance {tok.lexeme} is not finite", tok.start, tok.end
+                    )
+            self.expect_end()
+            return AssertStmt(left, right, tol)
+        return ExprStmt(self.expression())
 
-    def parse_expr(self, depth: int = 0, tier: int = 1) -> tuple[AstNode, int]:
+    def expression(self) -> AstNode:
+        node = self.parse_expr()[0]
+        self.expect_end()
+        return node
+
+    def parse_expr(self, depth: int = 0, tier: int = 1, sep: bool = False) -> tuple[AstNode, int]:
         """Parse an operand and then every binary operator of ``tier`` or
         tighter (precedence climbing). ``depth`` counts the levels above
         the expression; it is returned with its height, the levels below
-        its root. Each nested level costs one Python frame."""
+        its root. Each nested level costs one Python frame. With ``sep``
+        set, the expression is an assert's left side and ends before the
+        separating '~'; parentheses and call arguments do not pass it on."""
         tok = self.peek()
         if depth > MAX_DEPTH:
             self._too_deep(tok)
         # "-", "(" and "~" each name one token kind, so a lexeme is enough
-        lexeme = tok.lexeme if tok is not None else None
-        if lexeme == "-":
+        if tok.lexeme == "-":
             self.advance()
             # tier 4: no binary operator binds tighter than unary minus
-            operand, height = self.parse_expr(depth + 1, 4)
+            operand, height = self.parse_expr(depth + 1, 4, sep)
             node, height = Neg(operand), height + 1
-        elif lexeme == "(":
+        elif tok.lexeme == "(":
             self.advance()
             node, height = self.parse_expr(depth + 1)
             height += 1
-            self._close(comma=False)
+            self.expect((")",), "')'")
         else:
             node, height = self._parse_primary(depth)
-        while (tok := self.peek()) is not None and tok.lexeme == "~":
+        while (tok := self.peek()).lexeme == "~" and not (sep and self._at_separator()):
             self.advance()
             node, height = Rev(node), height + 1
             if depth + height > MAX_DEPTH:
                 self._too_deep(tok)
-        while (tok := self.peek()) is not None and _BINARY.get(tok.lexeme, (0,))[0] >= tier:
+        while _BINARY.get((tok := self.peek()).lexeme, (0,))[0] >= tier:
             self.advance()
-            right, right_height = self.parse_expr(depth + 1, _BINARY[tok.lexeme][0] + 1)
+            right, right_height = self.parse_expr(depth + 1, _BINARY[tok.lexeme][0] + 1, sep)
             node, height = BinOp(tok.lexeme, node, right), 1 + max(height, right_height)
             if depth + height > MAX_DEPTH:
                 self._too_deep(tok)
@@ -393,17 +430,15 @@ class _Parser:
     def _parse_primary(self, depth: int) -> tuple[AstNode, int]:
         """A number, a name, or a call, whose arguments sit two levels down
         (the call and its parentheses)."""
-        if self.peek() is None:
-            self._fail_eof("an expression")
         tok = self.advance()
         if tok.kind == "number":
             return Num(float(tok.lexeme)), 0
         if tok.kind != "ident":
-            raise ParseError(f"unexpected {tok.lexeme!r}", tok.start, tok.end)
+            raise _unexpected(tok, "an expression")
         name = tok.lexeme
         if name in _KEYWORDS:
             raise ParseError(f"reserved word '{name}' cannot appear here", tok.start, tok.end)
-        if not self._at_paren("("):
+        if self.peek().lexeme != "(":
             return (BladeRef(name) if _BLADE_RE.fullmatch(name) else Var(name)), 0
         function = FUNCTIONS.get(name)
         if function is None:
@@ -411,14 +446,14 @@ class _Parser:
         self.advance()  # the opening paren
         args: list[AstNode] = []
         height = 0
-        if self._at_paren(")"):
+        if self.peek().lexeme == ")":
             self.advance()
         else:
             while True:
                 arg, arg_height = self.parse_expr(depth + 2)
                 args.append(arg)
                 height = max(height, arg_height)
-                if self._close(comma=True).kind != "comma":
+                if self.expect((",", ")"), "',' or ')'").lexeme == ")":
                     break
         if len(args) != function.arity:
             raise ParseError(
@@ -429,73 +464,21 @@ class _Parser:
         return Call(name, tuple(args)), height + 2
 
 
-def _parse_full(tokens: list[Token]) -> AstNode:
-    parser = _Parser(tokens)
-    node = parser.parse_expr()[0]
-    parser.expect_end()
-    return node
+def _unexpected(tok: Token, expected: str) -> ParseError:
+    if tok.kind == "end":
+        return ParseError(f"unexpected end of input; expected {expected}", tok.start, tok.end)
+    return ParseError(f"unexpected {tok.lexeme!r}", tok.start, tok.end)
 
 
 def parse_expression(text: str) -> AstNode:
-    return _parse_full(tokenize(text))
-
-
-def _starts_expression(tok: Token) -> bool:
-    if tok.kind in ("number", "ident"):
-        return True
-    if tok.kind == "paren" and tok.lexeme == "(":
-        return True
-    return tok.kind == "operator" and tok.lexeme == "-"
-
-
-def _find_assert_separator(tokens: list[Token]) -> int | None:
-    # the separator is the first depth-0 "~" that is followed by something
-    # able to start an expression; earlier "~" tokens are postfix reverses
-    depth = 0
-    for idx, tok in enumerate(tokens):
-        if tok.kind == "paren":
-            depth += 1 if tok.lexeme == "(" else -1
-        elif depth == 0 and tok.kind == "operator" and tok.lexeme == "~":
-            if idx + 1 < len(tokens) and _starts_expression(tokens[idx + 1]):
-                return idx
-    return None
+    return _Parser(tokenize(text)).expression()
 
 
 def parse_statement(text: str) -> Statement:
     tokens = tokenize(text)
     if not tokens:
         raise ParseError("empty statement", 0, len(text))
-    head = tokens[0]
-    if head.kind == "ident" and head.lexeme == "let":
-        if len(tokens) < 2 or tokens[1].kind != "ident":
-            raise ParseError("expected a name after 'let'", head.start, head.end)
-        name_tok = tokens[1]
-        name = name_tok.lexeme
-        if name in _KEYWORDS:
-            raise ParseError(f"'{name}' is a reserved word", name_tok.start, name_tok.end)
-        if _BLADE_RE.fullmatch(name):
-            raise ParseError(
-                f"cannot bind basis blade '{name}'", name_tok.start, name_tok.end
-            )
-        if len(tokens) < 3 or tokens[2].kind != "assign":
-            raise ParseError("expected '=' after the name", name_tok.start, name_tok.end)
-        return Let(name, _parse_full(tokens[3:]))
-    if head.kind == "ident" and head.lexeme == "assert":
-        body = tokens[1:]
-        sep = _find_assert_separator(body)
-        if sep is None:
-            raise ParseError("assert needs '~' between two expressions", head.start, head.end)
-        left = _parse_full(body[:sep])
-        parser = _Parser(body[sep + 1 :])
-        right = parser.parse_expr()[0]
-        tol: float | None = None
-        trailing = parser.peek()
-        if trailing is not None and trailing.kind == "number":
-            parser.advance()
-            tol = float(trailing.lexeme)
-        parser.expect_end()
-        return AssertStmt(left, right, tol)
-    return ExprStmt(_parse_full(tokens))
+    return _Parser(tokens).statement()
 
 
 # -- evaluation ----------------------------------------------------------
@@ -522,6 +505,18 @@ def parse_signature(text: str) -> Signature:
             f"dimension {sig.dim} exceeds the language limit {MAX_LANGUAGE_DIM}"
         )
     return sig
+
+
+def parse_tolerance(text: str) -> float:
+    """A tolerance as ``GA_TOL`` and ``:tol`` give it: a positive finite
+    number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # rejected below, with the same message
+    if not math.isfinite(value) or value <= 0:
+        raise ValueError(f"tolerance must be a positive finite number, got {text!r}")
+    return value
 
 
 @dataclass
@@ -642,12 +637,9 @@ def _run_command(text: str, env: Environment) -> LineResult:
         return LineResult()
     if name == ":tol":
         try:
-            value = float(arg)
-        except ValueError:
-            return LineResult(error=f"':tol' needs a number, got {arg!r}")
-        if not math.isfinite(value) or value <= 0:
-            return LineResult(error="tolerance must be a positive finite number")
-        env.tol = value
+            env.tol = parse_tolerance(arg)
+        except ValueError as exc:
+            return LineResult(error=str(exc))
         return LineResult()
     return LineResult(error=f"unknown command '{name}'")
 
@@ -663,7 +655,7 @@ def run_line(line: str, env: Environment) -> LineResult:
         return _run_command(text, env)
     stmt = None
     try:
-        stmt = parse_statement(text)
+        stmt = parse_statement(line)  # spans count from the start of the line
         return LineResult(stmt, execute_statement(stmt, env))
     except TYPED_ERRORS as exc:
         return LineResult(stmt, error=str(exc))

@@ -276,6 +276,14 @@ def test_repl_and_run_report_the_same_verdicts(tmp_path):
     assert script.getvalue().endswith("3 assertions, 4 failures\n")
 
 
+def test_run_counts_a_non_finite_assert_tolerance_as_a_failure(tmp_path, capsys):
+    path = write_script(tmp_path, "assert e1 ~ e2 1e+400\nassert e1 ~ e1\n")
+    assert main(["run", path]) == 1
+    out = capsys.readouterr().out
+    assert f"{path}:1: error: assert tolerance 1e+400 is not finite" in out
+    assert out.endswith("1 assertions, 1 failures\n")
+
+
 def test_run_missing_file_exits_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.ga")]) == 2
 
@@ -320,6 +328,13 @@ def test_invalid_ga_tol_exits_2(capsys, monkeypatch):
     assert main(["eval", "e1"]) == 2
     monkeypatch.setenv("GA_TOL", "-1e-12")
     assert main(["eval", "e1"]) == 2
+
+
+def test_ga_tol_error_is_one_line(capsys, monkeypatch):
+    monkeypatch.setenv("GA_TOL", "inf")
+    assert main(["eval", "e1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "ga: GA_TOL: tolerance must be a positive finite number, got 'inf'\n"
 
 
 def test_no_subcommand_exits_2(capsys):

@@ -39,6 +39,7 @@ from gacalc.expr import (
     parse_expression,
     parse_signature,
     parse_statement,
+    parse_tolerance,
     repl_loop,
     run_line,
     tokenize,
@@ -317,6 +318,79 @@ def test_parse_assert_requires_separator():
         parse_statement("assert a + b")
 
 
+def test_let_without_expression_points_at_the_end_of_the_line():
+    with pytest.raises(ParseError, match="end of input") as err:
+        parse_statement("let x =")
+    assert err.value.span == (7, 7)
+
+
+def test_assert_without_left_side_points_inside_the_line():
+    text = "assert ~ e1"
+    with pytest.raises(ParseError) as err:
+        parse_statement(text)
+    start, end = err.value.span
+    assert len("assert ") <= start < end <= len(text)
+
+
+def test_line_error_spans_count_from_the_start_of_the_line():
+    assert run_line("  e1 + )  # note\n", Environment()).error == "unexpected ')' (at 7..8)"
+
+
+def test_assert_tolerance_zero_asks_for_exact_equality():
+    env = Environment()
+    assert parse_statement("assert e1 ~ e1 0").tol == 0.0
+    assert run_line("assert e1 ~ e1 0", env).failure is None
+    assert run_line("assert e1 ~ 1.0000000001*e1 0", env).failure.startswith("assert failed:")
+
+
+def test_non_finite_assert_tolerance_is_a_parse_error_at_the_literal():
+    done = run_line("assert e1 ~ e2 1e+400", Environment())
+    assert done.statement is None and done.value is None
+    assert done.error == "assert tolerance 1e+400 is not finite (at 15..21)"
+
+
+def _side(rng: random.Random, depth: int = 0) -> str:
+    """Text of an expression with postfix '~', parentheses and unary minus.
+    A '~' outside parentheses that meets a binary '-' would separate an
+    assert's sides, so such a left operand is put in parentheses; inside
+    parentheses and call arguments the pair stays."""
+    roll = rng.random()
+    if depth >= 4 or roll < 0.25:
+        return rng.choice(["a", "b2", "e1", "e23", "2", "0.5", "1e-3"])
+    if roll < 0.45:
+        return _side(rng, depth + 1) + rng.choice(["~", "~~", " ~"])
+    if roll < 0.55:
+        return "-" + _side(rng, depth + 1)
+    if roll < 0.65:
+        return f"({_side(rng, depth + 1)}~ - {_side(rng, depth + 1)})"
+    if roll < 0.75:
+        return f"rev({_side(rng, depth + 1)} ~ - {_side(rng, depth + 1)})"
+    left = _side(rng, depth + 1)
+    op = rng.choice("+-*/^.")
+    if op == "-" and left.endswith("~"):
+        left = f"({left})"
+    return f"{left} {op} {_side(rng, depth + 1)}"
+
+
+def test_assert_reverse_before_a_minus_separates_unless_parenthesised():
+    # "a~ - b ~ c" splits after "a", so its right side "- b~ c" is malformed
+    with pytest.raises(ParseError):
+        parse_statement("assert a~ - b ~ c")
+    stmt = parse_statement("assert (a~ - b) ~ c")
+    assert stmt == AssertStmt(parse_expression("a~ - b"), Var("c"), None)
+
+
+def test_assert_separator_is_the_first_tilde_that_starts_the_right_side():
+    rng = random.Random(7)
+    for _ in range(500):
+        left, right = _side(rng), _side(rng)
+        stmt = parse_statement(f"assert {left} ~ {right}")
+        assert stmt == AssertStmt(parse_expression(left), parse_expression(right), None), (
+            left,
+            right,
+        )
+
+
 def test_parse_expression_statement():
     assert parse_statement("e1*e2") == ExprStmt(BinOp("*", BladeRef("e1"), BladeRef("e2")))
 
@@ -339,6 +413,17 @@ def test_parse_signature_rejects_bad_input():
     for text in ["3", "a,b", "3,0,1", "-1,2", "0,0", "6,4"]:
         with pytest.raises(ValueError):
             parse_signature(text)
+
+
+def test_parse_tolerance():
+    assert parse_tolerance("1e-3") == 1e-3
+    assert parse_tolerance(" 10 ") == 10.0
+
+
+@pytest.mark.parametrize("text", ["banana", "", "0", "-1e-12", "inf", "nan", "1e+400"])
+def test_parse_tolerance_rejects_all_but_positive_finite_numbers(text):
+    with pytest.raises(ValueError, match="tolerance must be a positive finite number"):
+        parse_tolerance(text)
 
 
 # -- evaluation ----------------------------------------------------------
@@ -607,6 +692,22 @@ def test_repl_tolerance_command():
     assert out == "ok\n"
     code, out = repl(":tol -1\n")
     assert out.startswith("error:")
+
+
+def test_repl_reports_one_line_per_bad_tolerance_command():
+    code, out = repl(":tol banana\n:tol 0\n:tol inf\ne1\n")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 4
+    assert all(line.startswith("error: tolerance must be a positive") for line in lines[:3])
+    assert lines[3] == "1*e1"
+
+
+def test_repl_goes_on_after_a_non_finite_assert_tolerance():
+    code, out = repl("assert e1 ~ e2 1e+400\ne1\n")
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[0].startswith("error: assert tolerance 1e+400 is not finite")
+    assert lines[1] == "1*e1"
 
 
 def test_repl_skips_comments_and_blank_lines():
