@@ -16,11 +16,15 @@ Merging the factor lists moves every factor j of b past the factors of
 a above position j, and every factor shared at position >= p squares to
 -1. So bit j of the mask is set when an odd number of a's factors sit
 above j, XORed with a's factors at positions >= p (``a >> p << p``);
-then a*b = (-1)^popcount(b & mask) e_(a XOR b). The mask needs no table,
-so it costs the same at every dimension. ``*``, ``^`` and ``|`` share
-one product loop that computes the mask once per left term; ``^`` keeps
-the pairs with no shared factor, ``|`` the pairs where one blade
-contains the other (a scalar only pairs with a scalar).
+then a*b = (-1)^popcount(b & mask) e_(a XOR b). Two fixed tables of
+2^MAX_DIM = 4096 entries, built at import and shared by every signature,
+hold the suffix parities of every blade and the parity of every bitmask,
+so the mask and the sign are one index each. A ``*`` with at least
+2^dim / 2 term pairs adds into a list of 2^dim floats indexed by result
+blade; every other product adds into a dict, where ``^`` keeps the pairs
+with no shared factor and ``|`` the pairs where one blade contains the
+other (a scalar only pairs with a scalar). Both sum each result blade in
+the same order, so only the key order of the result differs.
 
 Checks sit at the boundary. Values from outside enter through the
 public constructor ``Multivector(sig, terms)`` or its ``scalar``,
@@ -183,20 +187,33 @@ def _check_bits(sig: Signature, bits: int) -> None:
         raise AlgebraError(f"blade {bin(bits)} does not fit in {sig}")
 
 
+def _sign_tables(dim: int) -> tuple[list[int], bytes]:
+    """For every bitmask a below 2^dim: the suffix parities of a (bit j
+    set when an odd number of a's factors sit above position j) and the
+    parity of a."""
+    suffix, parity = [0], b"\x00"
+    swap = bytes([1, 0]) + bytes(254)  # a translate table: 0 -> 1, 1 -> 0
+    for t in range(dim):
+        # the blades with factor t are those below it plus t, which sits
+        # above positions 0..t-1 and flips the parity
+        flip = (1 << t) - 1
+        suffix += [m ^ flip for m in suffix]
+        parity += parity.translate(swap)
+    return suffix, parity
+
+
+_SUFFIX, _PARITY = _sign_tables(MAX_DIM)
+
+
 def _sign_mask(a: int, p: int) -> int:
-    """Mask m of left blade a such that a*b has sign (-1)^popcount(b & m).
+    """Mask m of left blade a such that a*b has sign (-1)^_PARITY[b & m].
 
     Bit j is the parity of a's factors above position j (the
     transpositions factor j of b makes), XORed with a's factors at
-    positions >= p (shared ones square to -1).
+    positions >= p (shared ones square to -1). The product loops inline
+    this expression.
     """
-    m = a >> 1
-    # suffix parity by doubling; four steps cover 16 >= MAX_DIM bits
-    m ^= m >> 1
-    m ^= m >> 2
-    m ^= m >> 4
-    m ^= m >> 8
-    return m ^ (a >> p << p)
+    return _SUFFIX[a] ^ (a >> p << p)
 
 
 def blade_product(sig: Signature, a: int, b: int) -> tuple[int, int]:
@@ -208,7 +225,7 @@ def blade_product(sig: Signature, a: int, b: int) -> tuple[int, int]:
     """
     _check_bits(sig, a)
     _check_bits(sig, b)
-    return (-1 if (b & _sign_mask(a, sig.p)).bit_count() & 1 else 1), a ^ b
+    return (-1 if _PARITY[b & _sign_mask(a, sig.p)] else 1), a ^ b
 
 
 def _sort_key(bits: int) -> tuple[int, int]:
@@ -220,8 +237,8 @@ def canonical_blades(sig: Signature) -> list[int]:
     return sorted(range(1 << sig.dim), key=_sort_key)
 
 
-# product kinds of Multivector._product; _GP is 0 so that its loop
-# tests the kind once per pair
+# product kinds of Multivector._product; _GP is 0 so that the dict loop
+# tests the kind with one truth test per pair
 _GP, _OUTER, _INNER = 0, 1, 2
 
 
@@ -366,13 +383,29 @@ class Multivector:
         return self
 
     def _product(self, rhs: "Multivector", kind: int) -> "Multivector":
-        """The one product loop behind ``*``, ``^`` and ``|``."""
+        """The product loops behind ``*``, ``^`` and ``|``: a list indexed
+        by result blade for a ``*`` with at least 2^dim / 2 term pairs, a
+        dict for every other product."""
         right = list(rhs._terms.items())
+        sig = self.sig
+        p = sig.p
+        suffix, parity = _SUFFIX, _PARITY
+        if not kind and 2 * len(self._terms) * len(right) >= 1 << sig.dim:
+            acc = [0.0] * (1 << sig.dim)
+            for a, ca in self._terms.items():
+                mask = suffix[a] ^ (a >> p << p)
+                signed = (ca, -ca)
+                for b, cb in right:
+                    acc[a ^ b] += signed[parity[b & mask]] * cb
+            mv = object.__new__(Multivector)
+            object.__setattr__(mv, "sig", sig)
+            object.__setattr__(mv, "_terms", {bits: c for bits, c in enumerate(acc) if c})
+            return mv
         out: dict[int, float] = {}
         get = out.get
-        p = self.sig.p
         for a, ca in self._terms.items():
-            mask = _sign_mask(a, p)
+            mask = suffix[a] ^ (a >> p << p)
+            signed = (ca, -ca)
             for b, cb in right:
                 if kind:
                     common = a & b
@@ -384,11 +417,8 @@ class Multivector:
                     elif (common != a and common != b) or (a == 0) != (b == 0):
                         continue
                 bits = a ^ b
-                value = ca * cb
-                if (b & mask).bit_count() & 1:
-                    value = -value
-                out[bits] = get(bits, 0.0) + value
-        return Multivector._trusted(self.sig, out)
+                out[bits] = get(bits, 0.0) + signed[parity[b & mask]] * cb
+        return Multivector._trusted(sig, out)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):

@@ -578,7 +578,8 @@ def execute_statement(
     stmt: Statement, env: Environment
 ) -> Multivector | AssertOutcome | None:
     """Run one statement: None for let, a value for an expression,
-    an AssertOutcome for assert."""
+    an AssertOutcome for assert. An assert side with a coefficient that
+    is not finite raises EvalError."""
     if isinstance(stmt, Let):
         env.bindings[stmt.name] = evaluate(stmt.expr, env)
         return None
@@ -587,6 +588,12 @@ def execute_statement(
         right = evaluate(stmt.right, env)
         tol = env.tol if stmt.tol is None else stmt.tol
         gap = (left - right).norm()
+        if not math.isfinite(gap):
+            # an inf or nan coefficient on either side makes the gap inf or
+            # nan, which measures nothing; finite sides may still overflow it
+            for side, value in (("left", left), ("right", right)):
+                if not all(map(math.isfinite, value.terms.values())):
+                    raise EvalError(f"assert: the {side} side is not finite ({value})")
         return AssertOutcome(gap <= tol, gap, tol)
     return evaluate(stmt.expr, env)
 

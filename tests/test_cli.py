@@ -284,6 +284,15 @@ def test_run_counts_a_non_finite_assert_tolerance_as_a_failure(tmp_path, capsys)
     assert out.endswith("1 assertions, 1 failures\n")
 
 
+def test_run_reports_an_assert_with_a_non_finite_side(tmp_path, capsys):
+    path = write_script(tmp_path, "assert 1e+400*e1 ~ 1e+400*e1\nassert e1 ~ e1\n")
+    assert main(["run", path]) == 1
+    out = capsys.readouterr().out
+    assert f"{path}:1: error: assert: the left side is not finite (inf*e1)" in out
+    assert "nan" not in out
+    assert out.endswith("2 assertions, 1 failures\n")
+
+
 def test_run_missing_file_exits_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.ga")]) == 2
 

@@ -607,6 +607,25 @@ def test_execute_assert_statement():
     assert outcome.tol == 0.1
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("assert 1e+400*e1 ~ 1e+400*e1", "assert: the left side is not finite (inf*e1)"),
+        ("assert 1e+400*e1 ~ e1 1e+300", "assert: the left side is not finite (inf*e1)"),
+        ("assert e1 ~ 1e+400*e1 - 1e+400*e1", "assert: the right side is not finite (nan*e1)"),
+        ("assert e1 + 1e+400*e2 ~ e1", "assert: the left side is not finite (1*e1 + inf*e2)"),
+    ],
+)
+def test_assert_with_a_non_finite_side_is_an_eval_error(line, message):
+    env = Environment()
+    done = run_line(line, env)
+    assert isinstance(done.statement, AssertStmt)
+    assert done.value is None
+    assert done.error == message
+    with pytest.raises(EvalError):
+        execute_statement(parse_statement(line), env)
+
+
 def test_execute_let_returns_none():
     env = Environment()
     assert execute_statement(parse_statement("let a = 5"), env) is None
@@ -708,6 +727,16 @@ def test_repl_goes_on_after_a_non_finite_assert_tolerance():
     assert code == 0
     assert lines[0].startswith("error: assert tolerance 1e+400 is not finite")
     assert lines[1] == "1*e1"
+
+
+def test_repl_goes_on_after_an_assert_with_a_non_finite_side():
+    code, out = repl("assert 1e+400*e1 ~ 1e+400*e1\nassert e1 ~ e1\ne2\n")
+    assert code == 0
+    assert out.splitlines() == [
+        "error: assert: the left side is not finite (inf*e1)",
+        "ok",
+        "1*e2",
+    ]
 
 
 def test_repl_skips_comments_and_blank_lines():

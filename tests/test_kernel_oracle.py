@@ -2,15 +2,18 @@
 
 Every basis-blade pair of every G(p,q) with p+q <= 6 goes through ``*``,
 ``^`` and ``|``; at dims 7-12 seeded sampled pairs and multi-term
-operands do. The expected ``^`` and ``|`` come from the oracle product
-by their grade rules: ``^`` keeps the grade-(r+s) part, ``|`` the
-grade-|r-s| part when neither factor is a scalar, and scalar times
-scalar. Coefficients are small integers, so every expected value is
-exact whatever the order of summation.
+operands do, and ``*`` runs on both sides of the operand size at which
+it switches from the dict accumulator to the dense list one. The
+expected ``^`` and ``|`` come from the oracle product by their grade
+rules: ``^`` keeps the grade-(r+s) part, ``|`` the grade-|r-s| part when
+neither factor is a scalar, and scalar times scalar. Finite
+coefficients are small integers, so every expected value is exact
+whatever the order of summation.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 
@@ -88,6 +91,19 @@ def test_sampled_pairs_match_oracle(sig):
             assert got == ({bits: float(sign)} if kept(op, a, b, bits) else {}), (op, a, b)
 
 
+def test_every_blade_of_dimension_12_matches_oracle_on_either_side():
+    # every left blade meets the full blade and a random one; the top
+    # blade e_12, which squares to -1 and sits above every other factor,
+    # meets every right blade, so its sign is the parity of the whole of b
+    sig = Signature(7, 5)
+    rng = random.Random(12)
+    full, top = (1 << sig.dim) - 1, 1 << (sig.dim - 1)
+    pairs = [(a, b) for a in range(full + 1) for b in (full, rng.randrange(full + 1))]
+    pairs += [(top, b) for b in range(full + 1)]
+    for a, b in pairs:
+        assert blade_product(sig, a, b) == oracle(sig, a, b), (a, b)
+
+
 @pytest.mark.parametrize("sig", LARGE, ids=str)
 def test_multi_term_operands_match_oracle(sig):
     rng = random.Random(sig.p * 100 + sig.q + 1)
@@ -99,6 +115,61 @@ def test_multi_term_operands_match_oracle(sig):
         left, right = Multivector(sig, x), Multivector(sig, y)
         for op, product in OPS.items():
             assert dict(product(left, right).terms) == expected(sig, op, x, y), (op, size)
+
+
+# a * with at least 2^dim / 2 term pairs adds into a dense list
+SWITCH = [
+    Signature(2, 0),
+    Signature(4, 1),
+    Signature(7, 0),
+    Signature(9, 1),
+    Signature(12, 0),
+    Signature(0, 12),
+]
+
+
+def operand_sizes(pairs: int) -> tuple[int, int]:
+    """Term counts (n, m) with n * m == pairs, n the largest divisor up to the root."""
+    n = max(d for d in range(1, math.isqrt(pairs) + 1) if pairs % d == 0)
+    return n, pairs // n
+
+
+def switch_operands(sig: Signature, pairs: int, seed: int, coeffs) -> tuple[dict, dict]:
+    rng = random.Random(f"{sig}:{pairs}:{seed}")
+    n, m = operand_sizes(pairs)
+    blades = range(1 << sig.dim)
+    x = {b: rng.choice(coeffs) for b in rng.sample(blades, n)}
+    y = {b: rng.choice(coeffs) for b in rng.sample(blades, m)}
+    return x, y
+
+
+@pytest.mark.parametrize("sig", SWITCH, ids=str)
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+def test_both_accumulators_match_oracle(sig, offset):
+    pairs = (1 << (sig.dim - 1)) + offset
+    x, y = switch_operands(sig, pairs, 0, [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])
+    left, right = Multivector(sig, x), Multivector(sig, y)
+    for op, product in OPS.items():
+        got = dict(product(left, right).terms)
+        want = expected(sig, op, x, y)
+        assert got == want, (op, pairs)
+        # the dict keeps blades in the order the pairs first reach them,
+        # the dense list in ascending order: the key order shows which
+        # accumulator ran
+        dense = op == "*" and offset >= 0
+        assert list(got) == (sorted(want) if dense else list(want)), (op, pairs)
+
+
+@pytest.mark.parametrize("sig", SWITCH, ids=str)
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+def test_both_accumulators_carry_non_finite_coefficients(sig, offset):
+    # expected() sums each blade in the kernel's order, so inf - inf gives
+    # nan at the same blades and every other value is bit for bit the same
+    pairs = (1 << (sig.dim - 1)) + offset
+    coeffs = [math.inf, -math.inf, math.nan, -2.0, 1.0, 3.0]
+    x, y = switch_operands(sig, pairs, 1, coeffs)
+    got = (Multivector(sig, x) * Multivector(sig, y)).terms
+    assert repr(sorted(got.items())) == repr(sorted(expected(sig, "*", x, y).items()))
 
 
 def test_products_drop_exact_zeros():
