@@ -19,12 +19,13 @@ above j, XORed with a's factors at positions >= p (``a >> p << p``);
 then a*b = (-1)^popcount(b & mask) e_(a XOR b). Two fixed tables of
 2^MAX_DIM = 4096 entries, built at import and shared by every signature,
 hold the suffix parities of every blade and the parity of every bitmask,
-so the mask and the sign are one index each. A ``*`` with at least
-2^dim / 2 term pairs adds into a list of 2^dim floats indexed by result
-blade; every other product adds into a dict, where ``^`` keeps the pairs
-with no shared factor and ``|`` the pairs where one blade contains the
-other (a scalar only pairs with a scalar). Both sum each result blade in
-the same order, so only the key order of the result differs.
+so the mask and the sign are one index each. ``^`` keeps the pairs with
+no shared factor and ``|`` those where one blade contains the other (a
+scalar only pairs with a scalar). A product whose kept pairs fill 2^dim /
+2 adds into a list of 2^dim floats indexed by result blade, where ``^``
+and ``|`` walk the right blades they keep when there are fewer of them
+than right terms; any other product adds into a dict. Both sum each result
+blade in left-term order, so only the key order of the result differs.
 
 Checks sit at the boundary. Values from outside enter through the
 public constructor ``Multivector(sig, terms)`` or its ``scalar``,
@@ -46,6 +47,7 @@ be shared freely across threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -84,6 +86,7 @@ MAX_DIM = 12
 
 # |a.a| at or below this counts as a null vector
 _NULL_EPS = 1e-300
+_FLOAT_MIN = sys.float_info.min  # the smallest normal float
 
 
 class AlgebraError(ValueError):
@@ -237,8 +240,8 @@ def canonical_blades(sig: Signature) -> list[int]:
     return sorted(range(1 << sig.dim), key=_sort_key)
 
 
-# product kinds of Multivector._product; _GP is 0 so that the dict loop
-# tests the kind with one truth test per pair
+# product kinds of Multivector._product; _GP is 0 so that one truth test
+# tells ``*`` from the graded products
 _GP, _OUTER, _INNER = 0, 1, 2
 
 
@@ -384,14 +387,16 @@ class Multivector:
 
     def _product(self, rhs: "Multivector", kind: int) -> "Multivector":
         """The product loops behind ``*``, ``^`` and ``|``: a list indexed
-        by result blade for a ``*`` with at least 2^dim / 2 term pairs, a
-        dict for every other product."""
+        by result blade takes the sums when the pairs a product keeps fill
+        half of its 2^dim entries, a dict every other time."""
         right = list(rhs._terms.items())
         sig = self.sig
         p = sig.p
+        size = 1 << sig.dim
+        n = len(right)
         suffix, parity = _SUFFIX, _PARITY
-        if not kind and 2 * len(self._terms) * len(right) >= 1 << sig.dim:
-            acc = [0.0] * (1 << sig.dim)
+        if not kind and 2 * len(self._terms) * n >= size:
+            acc = [0.0] * size
             for a, ca in self._terms.items():
                 mask = suffix[a] ^ (a >> p << p)
                 signed = (ca, -ca)
@@ -401,23 +406,82 @@ class Multivector:
             object.__setattr__(mv, "sig", sig)
             object.__setattr__(mv, "_terms", {bits: c for bits, c in enumerate(acc) if c})
             return mv
+        # ^ keeps the b that share no factor with a, | those where a or b
+        # contains the other (a scalar pairs only with a scalar). A left
+        # blade of grade g has 2^(dim-g) candidates for ^ and about 2^g more
+        # for |; the kept pairs are the right density times the candidates
+        outer = kind == _OUTER
+        if kind and 2 * len(self._terms) * n >= size:
+            kept = 0
+            for a in self._terms:
+                g = a.bit_count()
+                kept += size >> g if outer else (1 << g) + (size >> g)
+            if 2 * n * kept >= size * size:
+                acc = [0.0] * size
+                find = rhs._terms.get
+                for a, ca in self._terms.items():
+                    mask = suffix[a] ^ (a >> p << p)
+                    signed = (ca, -ca)
+                    rest = (size - 1) ^ a
+                    g = a.bit_count()
+                    # walk the candidates when there are fewer than right
+                    # terms: s = (s - 1) & m lists the submasks of m downwards
+                    if outer and size >> g < n:
+                        s = rest
+                        while True:
+                            cb = find(s)
+                            if cb is not None:
+                                acc[a | s] += signed[parity[s & mask]] * cb
+                            if not s:
+                                break
+                            s = (s - 1) & rest
+                    elif outer:
+                        for b, cb in right:
+                            if not a & b:
+                                acc[a | b] += signed[parity[b & mask]] * cb
+                    elif a and (1 << g) + (size >> g) < n:
+                        s = a  # the nonzero submasks of a
+                        while s:
+                            cb = find(s)
+                            if cb is not None:
+                                acc[a ^ s] += signed[parity[s & mask]] * cb
+                            s = (s - 1) & a
+                        s = rest  # a plus a nonzero submask of its complement
+                        while s:
+                            cb = find(a | s)
+                            if cb is not None:
+                                acc[s] += signed[parity[(a | s) & mask]] * cb
+                            s = (s - 1) & rest
+                    elif a:
+                        for b, cb in right:
+                            common = a & b
+                            if b and (common == b or common == a):
+                                acc[a ^ b] += signed[parity[b & mask]] * cb
+                    elif 0 in rhs._terms:
+                        acc[0] += ca * rhs._terms[0]
+                return Multivector._trusted(sig, {bits: c for bits, c in enumerate(acc) if c})
         out: dict[int, float] = {}
         get = out.get
         for a, ca in self._terms.items():
             mask = suffix[a] ^ (a >> p << p)
             signed = (ca, -ca)
-            for b, cb in right:
-                if kind:
+            if not kind:
+                for b, cb in right:
+                    bits = a ^ b
+                    out[bits] = get(bits, 0.0) + signed[parity[b & mask]] * cb
+            elif outer:
+                for b, cb in right:
+                    if not a & b:
+                        bits = a | b
+                        out[bits] = get(bits, 0.0) + signed[parity[b & mask]] * cb
+            elif a:
+                for b, cb in right:
                     common = a & b
-                    if kind == _OUTER:
-                        if common:
-                            continue  # a shared factor drops the grade below r+s
-                    # the blade product has grade |r-s| only when one blade
-                    # contains the other; a scalar pairs only with a scalar
-                    elif (common != a and common != b) or (a == 0) != (b == 0):
-                        continue
-                bits = a ^ b
-                out[bits] = get(bits, 0.0) + signed[parity[b & mask]] * cb
+                    if b and (common == b or common == a):
+                        bits = a ^ b
+                        out[bits] = get(bits, 0.0) + signed[parity[b & mask]] * cb
+            elif 0 in rhs._terms:
+                out[0] = get(0, 0.0) + ca * rhs._terms[0]
         return Multivector._trusted(sig, out)
 
     def __mul__(self, other):
@@ -507,7 +571,16 @@ class Multivector:
         return total
 
     def norm(self) -> float:
-        return math.sqrt(abs(self.norm_squared()))
+        """sqrt(|norm_squared()|); a sum of squares that overflows or drops
+        below the normal floats is summed again over A / 2^e instead."""
+        total = self.norm_squared()
+        if not _FLOAT_MIN <= abs(total) < math.inf and self._terms:
+            e, scaled = _pow2_scaled(self)
+            try:
+                return math.ldexp(math.sqrt(abs(scaled.norm_squared())), e)
+            except OverflowError:
+                return math.inf
+        return math.sqrt(abs(total))
 
     def inverse(self, tol: float = DEFAULT_TOL) -> "Multivector":
         """Inverse through reversal, defined when A * ~A is a nonzero
@@ -515,6 +588,14 @@ class Multivector:
         rev = self.reverse()
         m = self * rev
         s = m.scalar_part()
+        if not _NULL_EPS < abs(s) < math.inf:
+            # A^-1 = (A/k)^-1 / k, for k = 2^e near A's largest coefficient
+            e, scaled = _pow2_scaled(self)
+            if e:
+                try:
+                    return _pow2_scaled(scaled.inverse(tol), e)[1]
+                except OverflowError:
+                    raise AlgebraError("inverse: a coefficient overflows") from None
         if abs(s) <= _NULL_EPS:
             raise SingularError("multivector has no inverse: A * ~A vanishes")
         if non_scalar_norm(m) > tol * max(1.0, abs(s)):
@@ -597,9 +678,18 @@ def basis_vectors(sig: Signature) -> list[Multivector]:
     return [Multivector.blade(sig, 1 << i) for i in range(sig.dim)]
 
 
+def _pow2_scaled(A: Multivector, e: int | None = None) -> tuple[int, Multivector]:
+    """(e, A / 2^e), exact unless a coefficient leaves the normal floats
+    (OverflowError if one overflows); e defaults to the exponent that brings
+    the largest |coefficient| into [0.5, 1), or 0 if it is zero or not finite."""
+    if e is None:
+        e = math.frexp(max(map(abs, A._terms.values()), default=0.0))[1]
+    return e, Multivector._trusted(A.sig, {b: math.ldexp(c, -e) for b, c in A._terms.items()})
+
+
 def non_scalar_norm(m: Multivector) -> float:
     """Norm of m minus its scalar part: the residual of a "square is
-    scalar" check. Sums the same terms in the same order as
+    scalar" check. Sums the same terms in the same order as the unscaled
     ``(m - m.scalar_part()).norm()`` without building that difference."""
     total = 0.0
     p = m.sig.p

@@ -369,6 +369,51 @@ def test_general_inverse_handles_rotors_and_rejects_zero_divisors():
         Multivector.zero(G3).inverse()
 
 
+# -- norm and inverse where the squares overflow or underflow ------------
+
+
+@pytest.mark.parametrize("c", [1e200, 1e-200, 1.5e300, 5e-324, -1e-160])
+def test_norm_of_a_blade_with_a_huge_or_tiny_coefficient_is_exact(c):
+    for bits in (0b001, 0b011, 0b111):
+        assert Multivector.blade(G3, bits, c).norm() == abs(c)
+
+
+def test_norm_rescales_only_what_overflows_or_underflows():
+    assert Multivector.vector(G3, [3e200, 4e200, 0]).norm() == pytest.approx(5e200, rel=1e-15)
+    assert Multivector.vector(G3, [3e-200, 4e-200, 0]).norm() == pytest.approx(5e-200, rel=1e-15)
+    # the squares overflow, the norm itself too
+    assert Multivector.vector(G3, [1.7e308, 1.7e308, 0]).norm() == math.inf
+    # norm_squared keeps its true value
+    assert Multivector.blade(G3, 0b001, 1e200).norm_squared() == math.inf
+    assert Multivector.blade(G3, 0b001, 1e-200).norm_squared() == 0.0
+    # a null vector stays null at any scale, in mixed signatures too
+    for c in (1e-200, 1.0, 1e200):
+        assert Multivector.vector(Signature(1, 1), [c, c]).norm() == 0.0
+    timelike = Multivector.vector(Signature(1, 1), [1e-200, 2e-200])
+    assert timelike.norm() == pytest.approx(math.sqrt(3) * 1e-200, rel=1e-15)
+
+
+@pytest.mark.parametrize("c", [1e200, 1e-200, 3e-170, 1e300])
+def test_inverse_of_a_huge_or_tiny_blade(c):
+    for bits, sign in ((0b001, 1.0), (0b011, -1.0), (0b111, -1.0)):
+        inverse = Multivector.blade(G3, bits, c).inverse()
+        assert dict(inverse.terms) == {bits: pytest.approx(sign / c, rel=1e-15)}
+
+
+def test_inverse_rescales_general_values_and_keeps_null_ones_singular():
+    A = Multivector.vector(G3, [3e-200, 4e-200, 0])
+    assert (A * A.inverse()).is_close(Multivector.scalar(G3, 1.0))
+    B = Multivector.vector(G3, [3e200, 4e200, 0])
+    assert (B.inverse() * 1e200).is_close(Multivector.vector(G3, [0.12, 0.16, 0]))
+    with pytest.raises(SingularError):
+        Multivector.vector(Signature(1, 1), [1e-200, 1e-200]).inverse()
+    with pytest.raises(SingularError):
+        ((1 + E1) * 1e-200).inverse()  # a zero divisor at any scale
+    # the true inverse does not fit in a float
+    with pytest.raises(AlgebraError, match="overflows"):
+        Multivector.blade(G3, 0b001, 5e-324).inverse()
+
+
 def test_division_forms():
     assert (E1 + E2) / 2 == Multivector(G3, {0b001: 0.5, 0b010: 0.5})
     assert (2 / (E1 + E3)) == E1 + E3  # (e1+e3)/|e1+e3|^2 * 2

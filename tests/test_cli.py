@@ -184,6 +184,25 @@ def test_repl_with_signature(capsys, monkeypatch):
     assert capsys.readouterr().out == "-1\n"
 
 
+@pytest.mark.parametrize(
+    "expr, out",
+    [
+        ("norm(1e+200*e1)", "9.9999999999999997e+199\n"),
+        ("norm(1e-200*e1)", "9.9999999999999998e-201\n"),
+        ("inv(1e-200*e1)", "9.9999999999999997e+199*e1\n"),
+        ("inv(1e+200*e1)", "9.9999999999999998e-201*e1\n"),
+    ],
+)
+def test_eval_norm_and_inv_of_huge_and_tiny_values(capsys, expr, out):
+    assert main(["eval", expr]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_eval_norm_of_a_sum_whose_squares_overflow(capsys):
+    assert main(["eval", "norm(3e+200*e1 + 4e+200*e2)"]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(5e200, rel=1e-15)
+
+
 # -- run -----------------------------------------------------------------
 
 
@@ -207,6 +226,16 @@ def test_run_failing_assert_reports_line(tmp_path, capsys):
     assert main(["run", path]) == 1
     out = capsys.readouterr().out
     assert f"{path}:1:" in out
+    assert "2 assertions, 1 failures" in out
+
+
+def test_run_reports_the_finite_gap_of_huge_sides(tmp_path, capsys):
+    path = write_script(
+        tmp_path, "assert inv(1e-200*e1) ~ 1e+200*e1 1e+185\nassert 1e+300*e1 ~ -1e+300*e1\n"
+    )
+    assert main(["run", path]) == 1
+    out = capsys.readouterr().out
+    assert f"{path}:2: assert failed: |lhs - rhs| = 2.0000000000000001e+300 exceeds" in out
     assert "2 assertions, 1 failures" in out
 
 

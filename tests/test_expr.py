@@ -626,6 +626,33 @@ def test_assert_with_a_non_finite_side_is_an_eval_error(line, message):
         execute_statement(parse_statement(line), env)
 
 
+@pytest.mark.parametrize(
+    "line, value",
+    [
+        ("norm(1e+200*e1)", 1e200),
+        ("norm(3e+200*e1 + 4e+200*e2)", 5e200),
+        ("norm(1e-200*e1)", 1e-200),
+        ("inv(1e-200*e1)", 1e200),
+        ("inv(1e+200*e1)", 1e-200),
+    ],
+)
+def test_norm_and_inv_survive_squares_that_overflow_or_underflow(line, value):
+    done = run_line(line, Environment())
+    assert done.error is None
+    ((bits, coeff),) = done.value.terms.items()
+    assert bits == (0 if line.startswith("norm") else 0b001)
+    assert coeff == pytest.approx(value, rel=1e-15)
+
+
+def test_assert_between_huge_finite_sides_reports_a_finite_gap():
+    done = run_line("assert 1e+300*e1 ~ -1e+300*e1", Environment())
+    assert done.failure == (
+        "assert failed: |lhs - rhs| = 2.0000000000000001e+300"
+        " exceeds tolerance 9.9999999999999998e-13"
+    )
+    assert run_line("assert 1e+300*e1 ~ 1e+300*e1", Environment()).failure is None
+
+
 def test_execute_let_returns_none():
     env = Environment()
     assert execute_statement(parse_statement("let a = 5"), env) is None

@@ -117,6 +117,23 @@ def test_multi_term_operands_match_oracle(sig):
             assert dict(product(left, right).terms) == expected(sig, op, x, y), (op, size)
 
 
+def candidates(op: str, sig: Signature, a: int) -> int:
+    """About how many right blades left blade a can keep: 2^(dim-g) for ^,
+    2^g more for |."""
+    g = a.bit_count()
+    return (1 << sig.dim >> g) + (0 if op == "^" else 1 << g)
+
+
+def takes_list(sig: Signature, op: str, x: dict, y: dict) -> bool:
+    """The accumulator rule: the dense list once the term pairs (for *) or
+    the kept pairs estimated as y's density times x's candidates (for ^
+    and |) fill half of 2^dim."""
+    size = 1 << sig.dim
+    if 2 * len(x) * len(y) < size:
+        return False
+    return op == "*" or 2 * len(y) * sum(candidates(op, sig, a) for a in x) >= size * size
+
+
 # a * with at least 2^dim / 2 term pairs adds into a dense list
 SWITCH = [
     Signature(2, 0),
@@ -156,7 +173,7 @@ def test_both_accumulators_match_oracle(sig, offset):
         # the dict keeps blades in the order the pairs first reach them,
         # the dense list in ascending order: the key order shows which
         # accumulator ran
-        dense = op == "*" and offset >= 0
+        dense = takes_list(sig, op, x, y)
         assert list(got) == (sorted(want) if dense else list(want)), (op, pairs)
 
 
@@ -178,3 +195,82 @@ def test_products_drop_exact_zeros():
     assert dict(((e1 + e2) * (e1 - e2)).terms) == {0b11: -2.0}
     assert ((e1 + e2) | (e1 - e2)).is_zero()
     assert ((e1 + e2) ^ (e1 + e2)).is_zero()
+
+
+# -- ^ and | on the dense list: the submask walk and the filtered scan ------
+
+UP_TO_8 = [Signature(p, d - p) for d in range(1, 9) for p in range(d + 1)]
+GRADED = {"^": operator.xor, "|": operator.or_}
+
+
+def small_ints(rng: random.Random, blades) -> dict[int, float]:
+    return {b: float(rng.choice((-3, -2, -1, 1, 2, 3))) for b in blades}
+
+
+@pytest.mark.parametrize("sig", UP_TO_8, ids=str)
+def test_graded_products_on_dense_operands_match_oracle(sig):
+    # fully dense up to dim 6; at dims 7-8 a dense left operand meets 16
+    # right terms, which keeps the oracle to 2^dim * 16 pairs
+    rng = random.Random(f"dense:{sig}")
+    size = 1 << sig.dim
+    x = small_ints(rng, range(size))
+    y = small_ints(rng, range(size) if sig.dim <= 6 else rng.sample(range(size), 16))
+    left, right = Multivector(sig, x), Multivector(sig, y)
+    for op, product in GRADED.items():
+        got = dict(product(left, right).terms)
+        want = expected(sig, op, x, y)
+        assert got == want, op
+        assert list(got) == (sorted(want) if takes_list(sig, op, x, y) else list(want)), op
+
+
+def rule_operands(sig: Signature, op: str, side: int, seed: int, coeffs) -> tuple[dict, dict]:
+    """Operands whose kept-pair estimate sits just below (side -1), at
+    (side 0) or just above (side 1) the list rule: a 12-term left operand
+    and a right operand sized by the rule."""
+    rng = random.Random(f"rule:{sig}:{op}:{seed}")
+    size = 1 << sig.dim
+    x = {b: rng.choice(coeffs) for b in rng.sample(range(size), 12)}
+    kept = sum(candidates(op, sig, a) for a in x)
+    n = -(-size * size // (2 * kept)) + side  # the least n with 2 n kept >= size^2
+    y = {b: rng.choice(coeffs) for b in rng.sample(range(size), n)}
+    return x, y
+
+
+RULE = [Signature(5, 0), Signature(3, 3), Signature(7, 0), Signature(4, 4), Signature(0, 8)]
+FINITE = [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]
+NON_FINITE = [math.inf, -math.inf, math.nan, -2.0, 1.0, 3.0]
+
+
+@pytest.mark.parametrize("sig", RULE, ids=str)
+@pytest.mark.parametrize("side", [-1, 0, 1], ids=["below", "at", "above"])
+@pytest.mark.parametrize("coeffs", [FINITE, NON_FINITE], ids=["finite", "non-finite"])
+def test_graded_products_either_side_of_the_list_rule_match_oracle(sig, side, coeffs):
+    # expected() sums each blade in the kernel's order, so inf - inf gives
+    # nan at the same blades; repr compares nan with nan, and the key
+    # order shows which accumulator ran
+    for op, product in GRADED.items():
+        for seed in range(3):
+            x, y = rule_operands(sig, op, side, seed, coeffs)
+            assert takes_list(sig, op, x, y) == (side >= 0)
+            got = product(Multivector(sig, x), Multivector(sig, y)).terms
+            want = expected(sig, op, x, y)
+            order = sorted(want) if side >= 0 else list(want)
+            assert repr(list(got.items())) == repr([(b, want[b]) for b in order]), (op, seed)
+
+
+@pytest.mark.parametrize("sig", [Signature(6, 0), Signature(5, 3), Signature(8, 0)], ids=str)
+def test_graded_products_mix_the_submask_walk_and_the_scan(sig):
+    # in one product on the list, the left blades with fewer candidates
+    # than right terms walk them and the others scan the right terms
+    rng = random.Random(f"mix:{sig}")
+    size = 1 << sig.dim
+    n = size // 4 + 3
+    x = small_ints(rng, rng.sample(range(size), size // 2))
+    y = small_ints(rng, rng.sample(range(size), n))
+    for op, product in GRADED.items():
+        walks = {candidates(op, sig, a) < n for a in x if a}
+        assert walks == {True, False} and takes_list(sig, op, x, y), op
+        got = dict(product(Multivector(sig, x), Multivector(sig, y)).terms)
+        want = expected(sig, op, x, y)
+        assert got == want, op
+        assert list(got) == sorted(want), op
