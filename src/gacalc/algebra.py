@@ -21,11 +21,12 @@ then a*b = (-1)^popcount(b & mask) e_(a XOR b). Two fixed tables of
 hold the suffix parities of every blade and the parity of every bitmask,
 so the mask and the sign are one index each. ``^`` keeps the pairs with
 no shared factor and ``|`` those where one blade contains the other (a
-scalar only pairs with a scalar). A product whose kept pairs fill 2^dim /
-2 adds into a list of 2^dim floats indexed by result blade, where ``^``
-and ``|`` walk the right blades they keep when there are fewer of them
-than right terms; any other product adds into a dict. Both sum each result
-blade in left-term order, so only the key order of the result differs.
+scalar only pairs with a scalar). A ``*`` with 2^dim / 2 term pairs,
+and a ``^`` or ``|`` whose right operand holds 2^dim / 2 blades, adds
+into a list of 2^dim floats indexed by result blade; there every left
+blade of ``^`` and ``|`` walks the right blades it can keep. Any other
+product adds into a dict. Both sum each result blade in left-term order,
+so only the key order of the result differs.
 
 Checks sit at the boundary. Values from outside enter through the
 public constructor ``Multivector(sig, terms)`` or its ``scalar``,
@@ -386,9 +387,11 @@ class Multivector:
         return self
 
     def _product(self, rhs: "Multivector", kind: int) -> "Multivector":
-        """The product loops behind ``*``, ``^`` and ``|``: a list indexed
-        by result blade takes the sums when the pairs a product keeps fill
-        half of its 2^dim entries, a dict every other time."""
+        """The product loops behind ``*``, ``^`` and ``|``. A list indexed
+        by result blade takes the sums of ``*`` when its term pairs fill
+        half of the 2^dim entries, and those of ``^`` and ``|`` when the
+        right operand holds half of the blades; a dict takes them every
+        other time."""
         right = list(rhs._terms.items())
         sig = self.sig
         p = sig.p
@@ -407,59 +410,47 @@ class Multivector:
             object.__setattr__(mv, "_terms", {bits: c for bits, c in enumerate(acc) if c})
             return mv
         # ^ keeps the b that share no factor with a, | those where a or b
-        # contains the other (a scalar pairs only with a scalar). A left
-        # blade of grade g has 2^(dim-g) candidates for ^ and about 2^g more
-        # for |; the kept pairs are the right density times the candidates
+        # contains the other (a scalar pairs only with a scalar). With the
+        # right operand at least half dense, each left blade walks the
+        # blades it can keep, s = (s - 1) & m listing the submasks of m
+        # downwards: at most 2^dim <= 2 |rhs| lookups, and only a scalar
+        # under ^ or a pseudoscalar under | takes that many
         outer = kind == _OUTER
-        if kind and 2 * len(self._terms) * n >= size:
-            kept = 0
-            for a in self._terms:
-                g = a.bit_count()
-                kept += size >> g if outer else (1 << g) + (size >> g)
-            if 2 * n * kept >= size * size:
-                acc = [0.0] * size
-                find = rhs._terms.get
-                for a, ca in self._terms.items():
-                    mask = suffix[a] ^ (a >> p << p)
-                    signed = (ca, -ca)
-                    rest = (size - 1) ^ a
-                    g = a.bit_count()
-                    # walk the candidates when there are fewer than right
-                    # terms: s = (s - 1) & m lists the submasks of m downwards
-                    if outer and size >> g < n:
-                        s = rest
-                        while True:
-                            cb = find(s)
-                            if cb is not None:
-                                acc[a | s] += signed[parity[s & mask]] * cb
-                            if not s:
-                                break
-                            s = (s - 1) & rest
-                    elif outer:
-                        for b, cb in right:
-                            if not a & b:
-                                acc[a | b] += signed[parity[b & mask]] * cb
-                    elif a and (1 << g) + (size >> g) < n:
-                        s = a  # the nonzero submasks of a
-                        while s:
-                            cb = find(s)
-                            if cb is not None:
-                                acc[a ^ s] += signed[parity[s & mask]] * cb
-                            s = (s - 1) & a
-                        s = rest  # a plus a nonzero submask of its complement
-                        while s:
-                            cb = find(a | s)
-                            if cb is not None:
-                                acc[s] += signed[parity[(a | s) & mask]] * cb
-                            s = (s - 1) & rest
-                    elif a:
-                        for b, cb in right:
-                            common = a & b
-                            if b and (common == b or common == a):
-                                acc[a ^ b] += signed[parity[b & mask]] * cb
-                    elif 0 in rhs._terms:
-                        acc[0] += ca * rhs._terms[0]
-                return Multivector._trusted(sig, {bits: c for bits, c in enumerate(acc) if c})
+        if kind and 2 * n >= size:
+            acc = [0.0] * size
+            find = rhs._terms.get
+            for a, ca in self._terms.items():
+                mask = suffix[a] ^ (a >> p << p)
+                signed = (ca, -ca)
+                rest = (size - 1) ^ a
+                if outer:
+                    s = rest
+                    while True:
+                        cb = find(s)
+                        if cb is not None:
+                            acc[a | s] += signed[parity[s & mask]] * cb
+                        if not s:
+                            break
+                        s = (s - 1) & rest
+                elif a:
+                    s = a  # the nonzero submasks of a
+                    while s:
+                        cb = find(s)
+                        if cb is not None:
+                            acc[a ^ s] += signed[parity[s & mask]] * cb
+                        s = (s - 1) & a
+                    s = rest  # a plus a nonzero submask of its complement
+                    while s:
+                        cb = find(a | s)
+                        if cb is not None:
+                            acc[s] += signed[parity[(a | s) & mask]] * cb
+                        s = (s - 1) & rest
+                elif 0 in rhs._terms:
+                    acc[0] += ca * rhs._terms[0]
+            mv = object.__new__(Multivector)
+            object.__setattr__(mv, "sig", sig)
+            object.__setattr__(mv, "_terms", {bits: c for bits, c in enumerate(acc) if c})
+            return mv
         out: dict[int, float] = {}
         get = out.get
         for a, ca in self._terms.items():
@@ -724,13 +715,18 @@ def require_unit_vector(name: str, a: Multivector, tol: float) -> None:
         raise GradeError(f"{name} expects a unit vector, got squared length {s!r}")
 
 
-def vector_square(name: str, a: Multivector) -> float:
-    """a.a of the vector a, which must not be null."""
+def vector_square(name: str, a: Multivector) -> tuple[int, Multivector, float]:
+    """(e, a / 2^e, s) for the vector a, which must not be null, with s
+    the square of a / 2^e. e is 0 unless a.a is not finite or vanishes;
+    then e brings a's largest coefficient into [0.5, 1), as in ``norm``."""
     require_vector(name, a)
-    s = dot(a, a)
+    e, s = 0, dot(a, a)
+    if not _NULL_EPS < abs(s) < math.inf and a._terms:
+        e, a = _pow2_scaled(a)
+        s = dot(a, a)
     if abs(s) <= _NULL_EPS:
         raise SingularError(f"{name} requires a vector with nonzero square")
-    return s
+    return e, a, s
 
 
 def blade_square(name: str, B: Multivector, tol: float) -> float:
@@ -793,8 +789,15 @@ def dual(A: Multivector) -> Multivector:
 
 
 def vector_inverse(a: Multivector) -> Multivector:
-    """Inverse of a nonzero vector: a / (a.a)."""
-    return a / vector_square("vector_inverse", a)
+    """Inverse of a nonzero vector: a / (a.a), taken as (a/k) / ((a/k).(a/k))
+    / k for k = 2^e when a.a is not finite or vanishes."""
+    e, a, s = vector_square("vector_inverse", a)
+    if not e:
+        return a / s
+    try:
+        return _pow2_scaled(a / s, e)[1]
+    except OverflowError:
+        raise AlgebraError("vector_inverse: a coefficient overflows") from None
 
 
 # a Cayley table has 4**dim entries; dimension 6 keeps it at 64 x 64

@@ -24,6 +24,7 @@ from gacalc.algebra import (
     require_g3,
     require_same_sig,
     require_vector,
+    vector_square,
 )
 
 __all__ = [
@@ -54,9 +55,8 @@ class Line:
 
     def __post_init__(self) -> None:
         require_vector("Line.point", self.point)
-        require_vector("Line.direction", self.direction)
         require_same_sig(self.point, self.direction)
-        if dot(self.direction, self.direction) <= 0.0:
+        if vector_square("Line.direction", self.direction)[2] < 0.0:
             raise SingularError("Line.direction must have positive square")
 
 

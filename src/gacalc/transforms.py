@@ -40,7 +40,9 @@ def project(x: Multivector, a: Multivector) -> Multivector:
     """Component of x along the direction a: (x.a^)a^ for unit a^,
     computed as (x.a) a / (a.a) so any nonzero scale of a works."""
     require_vector("project", x)
-    return a * (dot(x, a) / vector_square("project", a))
+    # a / 2^e spans the same direction, and keeps a.a finite and nonzero
+    _, a, s = vector_square("project", a)
+    return a * (dot(x, a) / s)
 
 
 def reject(x: Multivector, a: Multivector) -> Multivector:
@@ -48,7 +50,7 @@ def reject(x: Multivector, a: Multivector) -> Multivector:
     that project + reject recovering x is a real check rather than a
     bookkeeping identity."""
     require_vector("reject", x)
-    s = vector_square("reject", a)
+    _, a, s = vector_square("reject", a)
     return (((x ^ a) * a) / s).grade(1)
 
 

@@ -31,7 +31,7 @@ from gacalc import (
     dual,
     vector_inverse,
 )
-from gacalc.algebra import non_scalar_norm
+from gacalc.algebra import non_scalar_norm, vector_square
 
 from conftest import SMALL_SIGNATURES, multivectors, vectors, wild_coeff
 from oracles import (
@@ -412,6 +412,36 @@ def test_inverse_rescales_general_values_and_keeps_null_ones_singular():
     # the true inverse does not fit in a float
     with pytest.raises(AlgebraError, match="overflows"):
         Multivector.blade(G3, 0b001, 5e-324).inverse()
+
+
+def test_vector_square_rescales_only_what_overflows_or_vanishes():
+    a = vec3(3, 4, 0)
+    e, same, s = vector_square("t", a)
+    assert (e, s) == (0, 25.0) and same is a
+    for c in (1e200, 1e-200, 3e-154, 1.5e308):
+        a = vec3(c, 0, 0)
+        e, scaled, s = vector_square("t", a)
+        assert e == math.frexp(c)[1]
+        assert dict(scaled.terms) == {0b001: math.ldexp(c, -e)} and 0.25 <= s < 1.0
+    # a null vector stays null at any scale
+    for c in (1e-200, 1.0, 1e200):
+        with pytest.raises(SingularError):
+            vector_square("t", Multivector.vector(Signature(1, 1), [c, c]))
+
+
+@pytest.mark.parametrize("c", [1e200, 1e-200, 3e-154, -1e300])
+def test_vector_inverse_of_a_huge_or_tiny_vector(c):
+    inverse = vector_inverse(vec3(c, 0, 0))
+    assert dict(inverse.terms) == {0b001: pytest.approx(1 / c, rel=1e-15)}
+    a = vec3(3 * c, 4 * c, 0)
+    assert (a * vector_inverse(a)).is_close(Multivector.scalar(G3, 1.0))
+
+
+def test_vector_inverse_keeps_null_vectors_singular_and_rejects_overflow():
+    with pytest.raises(SingularError):
+        vector_inverse(Multivector.vector(Signature(1, 1), [1e-200, 1e-200]))
+    with pytest.raises(AlgebraError, match="overflows"):
+        vector_inverse(vec3(5e-324, 0, 0))
 
 
 def test_division_forms():

@@ -198,6 +198,22 @@ def test_eval_norm_and_inv_of_huge_and_tiny_values(capsys, expr, out):
     assert capsys.readouterr().out == out
 
 
+@pytest.mark.parametrize(
+    "expr, out",
+    [
+        ("proj(e1, 1e+200*e1)", "1*e1\n"),
+        ("rej(e2, 1e+200*e1)", "1*e2\n"),
+        ("proj(3e+200*e1, 2e+200*e1)", "2.9999999999999999e+200*e1\n"),
+        ("proj(e1, 1e-200*e1)", "1*e1\n"),
+        ("rej(e2, 1e-200*e1)", "1*e2\n"),
+        ("dist(e1, 1e-200*e2, e3)", "1.4142135623730951\n"),
+    ],
+)
+def test_eval_directions_of_huge_and_tiny_scale(capsys, expr, out):
+    assert main(["eval", expr]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_eval_norm_of_a_sum_whose_squares_overflow(capsys):
     assert main(["eval", "norm(3e+200*e1 + 4e+200*e2)"]) == 0
     assert float(capsys.readouterr().out) == pytest.approx(5e200, rel=1e-15)

@@ -644,6 +644,25 @@ def test_norm_and_inv_survive_squares_that_overflow_or_underflow(line, value):
     assert coeff == pytest.approx(value, rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "line, bits, value",
+    [
+        ("proj(e1, 1e+200*e1)", 0b001, 1.0),
+        ("rej(e2, 1e+200*e1)", 0b010, 1.0),
+        ("proj(3e+200*e1, 2e+200*e1)", 0b001, 3e200),
+        ("proj(e1, 1e-200*e1)", 0b001, 1.0),
+        ("rej(e2, 1e-200*e1)", 0b010, 1.0),
+        ("dist(e1, 1e-200*e2, e3)", 0, math.sqrt(2)),
+    ],
+)
+def test_directions_whose_square_overflows_or_underflows(line, bits, value):
+    done = run_line(line, Environment())
+    assert done.error is None
+    ((got_bits, coeff),) = done.value.terms.items()
+    assert got_bits == bits
+    assert coeff == pytest.approx(value, rel=1e-15)
+
+
 def test_assert_between_huge_finite_sides_reports_a_finite_gap():
     done = run_line("assert 1e+300*e1 ~ -1e+300*e1", Environment())
     assert done.failure == (

@@ -66,6 +66,18 @@ def test_closest_point_and_distance_frozen():
     assert distance_to_line(line, vec3(2, 0, 0)) == 0.0
 
 
+@pytest.mark.parametrize("c", [1e200, 1e-200, 3e-154])
+def test_line_takes_a_huge_or_tiny_direction(c):
+    line = Line(E1, E2 * c)
+    assert distance_to_line(line, E3) == math.sqrt(2)
+    assert line_contains(line, E1 + E2)
+    sig = Signature(1, 1)
+    with pytest.raises(SingularError):
+        Line(Multivector.zero(sig), Multivector.vector(sig, [c, c]))  # null
+    with pytest.raises(SingularError, match="positive square"):
+        Line(Multivector.zero(sig), Multivector.vector(sig, [0, c]))
+
+
 def test_distance_ignores_direction_scale():
     p = vec3(1, 2, 3)
     l1 = Line(vec3(0, 1, 0), vec3(1, 1, 1))

@@ -117,21 +117,11 @@ def test_multi_term_operands_match_oracle(sig):
             assert dict(product(left, right).terms) == expected(sig, op, x, y), (op, size)
 
 
-def candidates(op: str, sig: Signature, a: int) -> int:
-    """About how many right blades left blade a can keep: 2^(dim-g) for ^,
-    2^g more for |."""
-    g = a.bit_count()
-    return (1 << sig.dim >> g) + (0 if op == "^" else 1 << g)
-
-
 def takes_list(sig: Signature, op: str, x: dict, y: dict) -> bool:
-    """The accumulator rule: the dense list once the term pairs (for *) or
-    the kept pairs estimated as y's density times x's candidates (for ^
-    and |) fill half of 2^dim."""
+    """The accumulator rule: the dense list once the term pairs fill half
+    of 2^dim (for *) or once y holds half of the 2^dim blades (for ^ and |)."""
     size = 1 << sig.dim
-    if 2 * len(x) * len(y) < size:
-        return False
-    return op == "*" or 2 * len(y) * sum(candidates(op, sig, a) for a in x) >= size * size
+    return 2 * (len(x) * len(y) if op == "*" else len(y)) >= size
 
 
 # a * with at least 2^dim / 2 term pairs adds into a dense list
@@ -197,7 +187,7 @@ def test_products_drop_exact_zeros():
     assert ((e1 + e2) ^ (e1 + e2)).is_zero()
 
 
-# -- ^ and | on the dense list: the submask walk and the filtered scan ------
+# -- ^ and | on the dense list: the submask walks --------------------------
 
 UP_TO_8 = [Signature(p, d - p) for d in range(1, 9) for p in range(d + 1)]
 GRADED = {"^": operator.xor, "|": operator.or_}
@@ -224,15 +214,13 @@ def test_graded_products_on_dense_operands_match_oracle(sig):
 
 
 def rule_operands(sig: Signature, op: str, side: int, seed: int, coeffs) -> tuple[dict, dict]:
-    """Operands whose kept-pair estimate sits just below (side -1), at
-    (side 0) or just above (side 1) the list rule: a 12-term left operand
-    and a right operand sized by the rule."""
+    """Operands just below (side -1), at (side 0) or just above (side 1)
+    the list rule: a 12-term left operand and a right operand of
+    2^(dim-1) + side terms."""
     rng = random.Random(f"rule:{sig}:{op}:{seed}")
     size = 1 << sig.dim
     x = {b: rng.choice(coeffs) for b in rng.sample(range(size), 12)}
-    kept = sum(candidates(op, sig, a) for a in x)
-    n = -(-size * size // (2 * kept)) + side  # the least n with 2 n kept >= size^2
-    y = {b: rng.choice(coeffs) for b in rng.sample(range(size), n)}
+    y = {b: rng.choice(coeffs) for b in rng.sample(range(size), size // 2 + side)}
     return x, y
 
 
@@ -259,18 +247,34 @@ def test_graded_products_either_side_of_the_list_rule_match_oracle(sig, side, co
 
 
 @pytest.mark.parametrize("sig", [Signature(6, 0), Signature(5, 3), Signature(8, 0)], ids=str)
-def test_graded_products_mix_the_submask_walk_and_the_scan(sig):
-    # in one product on the list, the left blades with fewer candidates
-    # than right terms walk them and the others scan the right terms
-    rng = random.Random(f"mix:{sig}")
+def test_graded_products_on_the_longest_walks_match_oracle(sig):
+    # at the least dense right operand the list takes, the scalar walks
+    # all 2^dim blades under ^ and the pseudoscalar the 2^dim - 1 nonzero
+    # ones under |; a grade-1 blade walks 2^(dim-1) under either
+    rng = random.Random(f"walks:{sig}")
     size = 1 << sig.dim
-    n = size // 4 + 3
-    x = small_ints(rng, rng.sample(range(size), size // 2))
-    y = small_ints(rng, rng.sample(range(size), n))
+    x = small_ints(rng, [0, *(1 << i for i in range(sig.dim)), size - 1])
+    y = small_ints(rng, rng.sample(range(size), size // 2))
     for op, product in GRADED.items():
-        walks = {candidates(op, sig, a) < n for a in x if a}
-        assert walks == {True, False} and takes_list(sig, op, x, y), op
+        assert takes_list(sig, op, x, y), op
         got = dict(product(Multivector(sig, x), Multivector(sig, y)).terms)
         want = expected(sig, op, x, y)
         assert got == want, op
         assert list(got) == sorted(want), op
+
+
+def test_small_graded_products_take_the_dict_until_the_right_operand_is_half_dense():
+    # the dict keeps blades in the order the pairs first reach them, which
+    # differs from the list's ascending order for every operand pair here
+    sig = Signature(3, 0)
+    x = {0b100: 2.0, 0b001: -1.0, 0b010: 3.0}
+    y = {0b001: 1.0, 0b010: -2.0, 0b100: 3.0}
+    B = {0b110: 1.0, 0b011: -2.0, 0b101: 2.0}
+    f = {0b000: 2.0, 0b001: -3.0, 0b010: 1.0, 0b100: 2.0}
+    for op, left, right in [("^", x, y), ("|", x, y), ("|", B, y), ("^", x, f), ("|", B, f)]:
+        got = list(GRADED[op](Multivector(sig, left), Multivector(sig, right)).terms.items())
+        want = expected(sig, op, left, right)
+        dense = len(right) == 4
+        assert takes_list(sig, op, left, right) == dense, (op, left, right)
+        assert got == [(b, want[b]) for b in (sorted(want) if dense else want)], (op, left)
+        assert len(want) == 1 or list(want) != sorted(want), (op, left)

@@ -63,6 +63,20 @@ def test_project_requires_nonnull_direction():
         project(E12, E1)
 
 
+@pytest.mark.parametrize("c", [1e200, 1e-200, 3e-154, 1.5e308])
+def test_project_and_reject_along_a_huge_or_tiny_direction(c):
+    x = vec3(1, 2, 3)
+    for a in (E1 * c, vec3(c, c, 0)):
+        assert (project(x, a) + reject(x, a) - x).norm() <= 1e-15
+    assert project(x, E1 * c) == vec3(1, 0, 0)
+    assert reject(x, E1 * c) == vec3(0, 2, 3)
+    assert project(E1 * 3e200, E1 * c).is_close(E1 * 3e200)
+    null = Multivector.vector(Signature(1, 1), [c, c])
+    for op in (project, reject):
+        with pytest.raises(SingularError):
+            op(Multivector.vector(Signature(1, 1), [1, 2]), null)
+
+
 @given(nonzero_vectors, nonzero_vectors)
 def test_projection_decomposition(x, a):
     x_par = project(x, a)
