@@ -48,7 +48,6 @@ be shared freely across threads.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -85,9 +84,9 @@ __all__ = [
 DEFAULT_TOL = 1e-12
 MAX_DIM = 12
 
-# |a.a| at or below this counts as a null vector
+# |a.a| at or below this counts as a null vector; norm, inverse and
+# vector_square take a square this small, or not finite, over A / 2^e
 _NULL_EPS = 1e-300
-_FLOAT_MIN = sys.float_info.min  # the smallest normal float
 
 
 class AlgebraError(ValueError):
@@ -562,10 +561,10 @@ class Multivector:
         return total
 
     def norm(self) -> float:
-        """sqrt(|norm_squared()|); a sum of squares that overflows or drops
-        below the normal floats is summed again over A / 2^e instead."""
+        """sqrt(|norm_squared()|); a sum of squares that is not finite or
+        at most _NULL_EPS in size is summed again over A / 2^e instead."""
         total = self.norm_squared()
-        if not _FLOAT_MIN <= abs(total) < math.inf and self._terms:
+        if not _NULL_EPS < abs(total) < math.inf and self._terms:
             e, scaled = _pow2_scaled(self)
             try:
                 return math.ldexp(math.sqrt(abs(scaled.norm_squared())), e)
@@ -711,7 +710,8 @@ def require_vector(name: str, a: Multivector) -> None:
 def require_unit_vector(name: str, a: Multivector, tol: float) -> None:
     require_vector(name, a)
     s = dot(a, a)
-    if abs(s - 1.0) > tol:
+    # written so that a nan square fails it
+    if not abs(s - 1.0) <= tol:
         raise GradeError(f"{name} expects a unit vector, got squared length {s!r}")
 
 

@@ -2,6 +2,9 @@
 point-direction form, point containment and distance, and triangle
 identities (Law of Cosines, Law of Sines, wedge area).
 
+The foot of the perpendicular from a point and its length are the
+projection and the rejection of the point's offset from the line's
+anchor, so they inherit the scale-safe direction of ``transforms``.
 Containment tests use a relative tolerance scaled by the input
 magnitudes with an absolute floor, so they behave sensibly for both
 tiny and large configurations.
@@ -9,7 +12,6 @@ tiny and large configurations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from gacalc.algebra import (
@@ -26,6 +28,7 @@ from gacalc.algebra import (
     require_vector,
     vector_square,
 )
+from gacalc.transforms import project, reject
 
 __all__ = [
     "Line",
@@ -56,7 +59,8 @@ class Line:
     def __post_init__(self) -> None:
         require_vector("Line.point", self.point)
         require_same_sig(self.point, self.direction)
-        if vector_square("Line.direction", self.direction)[2] < 0.0:
+        # written so that a nan square fails it
+        if not vector_square("Line.direction", self.direction)[2] > 0.0:
             raise SingularError("Line.direction must have positive square")
 
 
@@ -75,47 +79,44 @@ class Plane:
             raise NonBladeError("Plane.bivector must have negative square")
 
 
-def _unit(a: Multivector) -> Multivector:
-    return a / a.norm()
+def _wedges_to_nothing(offset: Multivector, blade: Multivector, tol: float) -> bool:
+    return (offset ^ blade).norm() <= tol * blade.norm() * max(1.0, offset.norm())
 
 
 def line_contains(line: Line, x: Multivector, tol: float = DEFAULT_TOL) -> bool:
     """Whether x lies on the line: the offset from the anchor has no
     component wedging with the direction, up to a scaled tolerance."""
     require_vector("line_contains", x)
-    offset = x - line.point
-    gap = ((offset ^ line.direction)).norm()
-    scale = line.direction.norm() * max(1.0, offset.norm())
-    return gap <= tol * scale
+    return _wedges_to_nothing(x - line.point, line.direction, tol)
 
 
 def closest_point_on_line(line: Line, p: Multivector) -> Multivector:
-    """Foot of the perpendicular from p: anchor plus the projection of
-    the offset onto the unit direction."""
+    """Foot of the perpendicular from p: the anchor plus the projection
+    of the offset onto the direction."""
     require_vector("closest_point_on_line", p)
-    a_hat = _unit(line.direction)
-    return line.point + a_hat * dot(p - line.point, a_hat)
+    return line.point + project(p - line.point, line.direction)
 
 
 def distance_to_line(line: Line, p: Multivector) -> float:
-    """Perpendicular distance from p to the line, via the Pythagorean
-    split of the offset into along-line and across-line parts."""
+    """Perpendicular distance from p to the line: the norm of the offset's
+    rejection from the direction, or 0 if the rejection is null or has
+    negative square, which only a mixed signature allows."""
     require_vector("distance_to_line", p)
-    offset = line.point - p
-    a_hat = _unit(line.direction)
-    along = dot(offset, a_hat)
-    # rounding can push the radicand a hair below zero at distance ~0
-    return math.sqrt(max(dot(offset, offset) - along * along, 0.0))
+    across = reject(p - line.point, line.direction)
+    try:
+        # the sign of across.across, taken on across / 2^e so it cannot overflow or vanish
+        s = vector_square("distance_to_line", across)[2]
+    except SingularError:  # p lies on the line, or across is null
+        return 0.0
+    # a nan s fails the test, so a nan offset keeps its nan distance
+    return 0.0 if s < 0.0 else across.norm()
 
 
 def plane_contains(plane: Plane, x: Multivector, tol: float = DEFAULT_TOL) -> bool:
     """Whether x lies in the plane: the offset wedges to nothing with
     the spanning bivector, up to a scaled tolerance."""
     require_vector("plane_contains", x)
-    offset = x - plane.point
-    gap = (offset ^ plane.bivector).norm()
-    scale = plane.bivector.norm() * max(1.0, offset.norm())
-    return gap <= tol * scale
+    return _wedges_to_nothing(x - plane.point, plane.bivector, tol)
 
 
 def plane_normal(plane: Plane) -> Multivector:
@@ -166,25 +167,21 @@ def cosine_law_residual(tri: Triangle) -> float:
     )
 
 
-def _unit_sides(tri: Triangle) -> tuple[Multivector, Multivector, Multivector]:
-    for side in (tri.a, tri.b, tri.c):
-        if side.norm() == 0.0:
-            raise SingularError("degenerate triangle: zero-length side")
-    return _unit(tri.a), _unit(tri.b), _unit(tri.c)
-
-
 def sine_law_residual(tri: Triangle) -> float:
     """Largest pairwise gap between sin(angle)/opposite-side ratios,
     with each sine taken as the wedge norm of the unit sides meeting at
     the angle. Collinear (degenerate) triangles are rejected."""
-    a_hat, b_hat, c_hat = _unit_sides(tri)
+    na, nb, nc = tri.a.norm(), tri.b.norm(), tri.c.norm()
+    if 0.0 in (na, nb, nc):
+        raise SingularError("degenerate triangle: zero-length side")
+    a_hat, b_hat, c_hat = tri.a / na, tri.b / nb, tri.c / nc
     sin_c = (a_hat ^ b_hat).norm()
     if sin_c <= _DEGENERATE_SINE:
         raise SingularError("degenerate triangle: sides are collinear")
     ratios = [
-        (c_hat ^ b_hat).norm() / tri.a.norm(),
-        (a_hat ^ c_hat).norm() / tri.b.norm(),
-        sin_c / tri.c.norm(),
+        (c_hat ^ b_hat).norm() / na,
+        (a_hat ^ c_hat).norm() / nb,
+        sin_c / nc,
     ]
     return max(ratios) - min(ratios)
 

@@ -60,7 +60,8 @@ def _require_sphere_point(name: str, a: Multivector, tol: float) -> None:
 def _require_plane_point(name: str, x: Multivector, tol: float) -> None:
     require_g3(name, x)
     require_vector(name, x)
-    if abs(x.coeff(0b100)) > tol:
+    # written so that a nan e3 part fails it
+    if not abs(x.coeff(0b100)) <= tol:
         raise GradeError(f"{name} expects a point in the equatorial plane (x.e3 = 0)")
 
 

@@ -77,7 +77,8 @@ def _check_rotor(name: str, R: Multivector, tol: float) -> None:
     if any(g not in (0, 2) for g in R.grades()):
         raise GradeError(f"{name} expects a rotor (grades 0 and 2), got grades {R.grades()}")
     m = R * R.reverse()
-    if abs(m.scalar_part() - 1.0) > tol or non_scalar_norm(m) > tol:
+    # written so that a nan residual fails it
+    if not abs(m.scalar_part() - 1.0) <= tol or not non_scalar_norm(m) <= tol:
         raise NonBladeError(f"{name} expects a unit rotor: R * ~R must be 1")
 
 

@@ -207,11 +207,49 @@ def test_eval_norm_and_inv_of_huge_and_tiny_values(capsys, expr, out):
         ("proj(e1, 1e-200*e1)", "1*e1\n"),
         ("rej(e2, 1e-200*e1)", "1*e2\n"),
         ("dist(e1, 1e-200*e2, e3)", "1.4142135623730951\n"),
+        ("dist(1e+200*e1, e2, 0*e1)", "9.9999999999999997e+199\n"),
+        ("dist(1e-200*e1, e2, 0*e1)", "9.9999999999999998e-201\n"),
+        ("dist(0*e1, e1, 3e+200*e2 + 1e+200*e1)", "2.9999999999999999e+200\n"),
     ],
 )
 def test_eval_directions_of_huge_and_tiny_scale(capsys, expr, out):
     assert main(["eval", expr]) == 0
     assert capsys.readouterr().out == out
+
+
+# nan from finite literals, so these stay valid if an overflowing literal
+# ever becomes a parse error
+NAN = "(1e+300*1e+300 - 1e+300*1e+300)"
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        (f"rot(e1, {NAN})", "ga: rotate expects a unit rotor: R * ~R must be 1\n"),
+        (
+            f"reflectn(e2, e1 + {NAN}*e3)",
+            "ga: reflect_normal expects a unit vector, got squared length nan\n",
+        ),
+        (
+            f"rotor(e1, e1 + {NAN}*e2)",
+            "ga: rotor_between expects a unit vector, got squared length nan\n",
+        ),
+        (
+            f"probp(e1, e1 + {NAN}*e2)",
+            "ga: prob_plus expects a unit vector, got squared length nan\n",
+        ),
+        (
+            f"unstereo(e1 + {NAN}*e3)",
+            "ga: stereo_unproject expects a point in the equatorial plane (x.e3 = 0)\n",
+        ),
+        (f"dist(0*e1, {NAN}*e1, e2)", "ga: Line.direction must have positive square\n"),
+    ],
+)
+def test_eval_a_nan_fails_the_unit_rotor_and_plane_guards(capsys, expr, message):
+    assert main(["eval", expr]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
 
 
 def test_eval_norm_of_a_sum_whose_squares_overflow(capsys):

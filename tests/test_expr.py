@@ -653,6 +653,9 @@ def test_norm_and_inv_survive_squares_that_overflow_or_underflow(line, value):
         ("proj(e1, 1e-200*e1)", 0b001, 1.0),
         ("rej(e2, 1e-200*e1)", 0b010, 1.0),
         ("dist(e1, 1e-200*e2, e3)", 0, math.sqrt(2)),
+        ("dist(1e+200*e1, e2, 0*e1)", 0, 1e200),
+        ("dist(1e-200*e1, e2, 0*e1)", 0, 1e-200),
+        ("dist(0*e1, e1, 3e+200*e2 + 1e+200*e1)", 0, 3e200),
     ],
 )
 def test_directions_whose_square_overflows_or_underflows(line, bits, value):
@@ -660,7 +663,7 @@ def test_directions_whose_square_overflows_or_underflows(line, bits, value):
     assert done.error is None
     ((got_bits, coeff),) = done.value.terms.items()
     assert got_bits == bits
-    assert coeff == pytest.approx(value, rel=1e-15)
+    assert coeff == pytest.approx(value, rel=1e-15, abs=0.0)
 
 
 def test_assert_between_huge_finite_sides_reports_a_finite_gap():

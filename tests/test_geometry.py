@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from gacalc import (
     G2,
@@ -78,6 +79,58 @@ def test_line_takes_a_huge_or_tiny_direction(c):
         Line(Multivector.zero(sig), Multivector.vector(sig, [0, c]))
 
 
+@pytest.mark.parametrize(
+    "x0, a, p, expected",
+    [
+        (E1 * 1e200, E2, Multivector.zero(G3), 1e200),
+        (E1 * 1e-200, E2, Multivector.zero(G3), 1e-200),
+        (Multivector.zero(G3), E1, E2 * 3e200 + E1 * 1e200, 3e200),
+    ],
+)
+def test_distance_to_line_takes_a_huge_or_tiny_offset(x0, a, p, expected):
+    assert distance_to_line(Line(x0, a), p) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("c", [1e200, 1e-200])
+def test_closest_point_takes_a_huge_or_tiny_offset(c):
+    foot = closest_point_on_line(Line(E1 * c, E2), E2 * (5 * c))
+    assert foot.terms.keys() == {0b001, 0b010}
+    assert foot.coeff(0b001) == c
+    assert foot.coeff(0b010) == pytest.approx(5 * c, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e200, 1e-170])
+@pytest.mark.parametrize("timelike", [1.0, 2.0])  # null, negative square
+def test_a_timelike_or_null_rejection_is_distance_zero(c, timelike):
+    sig = Signature(2, 1)
+    e1, e2, e3 = basis_vectors(sig)
+    # e3 squares to -1, and the offset's rejection from e1 is c (e2 + t e3)
+    p = (e2 + e3 * timelike) * c
+    assert distance_to_line(Line(Multivector.zero(sig), e1), p) == 0.0
+
+
+def test_a_nan_offset_gives_a_nan_distance():
+    assert math.isnan(distance_to_line(Line(E1, E2), E3 * math.nan))
+
+
+def test_mixed_signature_distance_matches_the_pythagorean_split():
+    sig = Signature(4, 1)
+    rng = random.Random(41)
+    checked = 0
+    while checked < 1000:
+        x0, a, p = (
+            Multivector.vector(sig, [rng.uniform(-3.0, 3.0) for _ in range(5)])
+            for _ in range(3)
+        )
+        if dot(a, a) <= 0.0:
+            continue  # a Line needs a direction with positive square
+        offset = p - x0
+        along = dot(offset, a / a.norm())
+        expected = math.sqrt(max(dot(offset, offset) - along * along, 0.0))
+        assert abs(distance_to_line(Line(x0, a), p) - expected) <= 1e-9
+        checked += 1
+
+
 def test_distance_ignores_direction_scale():
     p = vec3(1, 2, 3)
     l1 = Line(vec3(0, 1, 0), vec3(1, 1, 1))
@@ -87,15 +140,15 @@ def test_distance_ignores_direction_scale():
 
 @settings(max_examples=60)
 @given(vectors(G3), vectors(G3).filter(lambda v: v.norm() > 1e-2), vectors(G3))
+# p sits 8.9e-10 from the line
+@example(vec3(0.3, -0.7, 0.2), vec3(0.6, 0.5, -0.4), vec3(0.84, -0.25, -0.16 + 1e-9))
 def test_closest_point_properties(x0, a, p):
     line = Line(x0, a)
     foot = closest_point_on_line(line, p)
     assert line_contains(line, foot, tol=1e-9)
     gap = (p - foot).norm()
-    # the Pythagorean form subtracts nearly equal squares when p sits close
-    # to the line, so it only keeps about half the digits of the offset
     offset = (p - line.point).norm()
-    assert abs(gap - distance_to_line(line, p)) <= 5e-8 * max(1.0, offset)
+    assert abs(gap - distance_to_line(line, p)) <= 1e-12 * max(1.0, offset)
     # the offset from the foot is orthogonal to the line
     assert abs(dot(p - foot, a)) <= 1e-12 * max(1.0, offset * a.norm())
 

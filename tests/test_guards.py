@@ -14,6 +14,7 @@ from gacalc import (
     AlgebraError,
     G2,
     G3,
+    GradeError,
     Line,
     Multivector,
     NonBladeError,
@@ -29,7 +30,10 @@ from gacalc import (
     prob_plus,
     project,
     reflect_in_plane,
+    reflect_normal,
     reject,
+    rotate,
+    rotor_between,
     stereo_project,
     stereo_unproject,
     vector_inverse,
@@ -88,6 +92,26 @@ def test_a_non_finite_bivector_square_is_rejected(site, coeff):
         "Plane": lambda: Plane(E1, B),
     }[site]
     with pytest.raises(AlgebraError, match="not finite"):
+        call()
+
+
+NAN_GUARD_SITES = {
+    "rotate": (NonBladeError, lambda: rotate(E1, Multivector.scalar(G3, math.nan))),
+    "reflect_normal": (GradeError, lambda: reflect_normal(E2, E1 + E2 * math.nan)),
+    "rotor_between": (GradeError, lambda: rotor_between(E1, E1 + E2 * math.nan)),
+    "prob_plus": (GradeError, lambda: prob_plus(E1, E1 + E2 * math.nan)),
+    "stereo_unproject": (
+        GradeError,
+        lambda: stereo_unproject(E1 + Multivector.blade(G3, 0b100, math.nan)),
+    ),
+    "Line": (SingularError, lambda: Line(E1, E2 * math.nan)),
+}
+
+
+@pytest.mark.parametrize("site", NAN_GUARD_SITES)
+def test_a_nan_fails_the_unit_rotor_and_plane_guards(site):
+    error, call = NAN_GUARD_SITES[site]
+    with pytest.raises(error):
         call()
 
 
