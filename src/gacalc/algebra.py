@@ -41,6 +41,10 @@ other modules call it: ``require_same_sig``, ``require_g3``,
 ``require_vector``, ``require_unit_vector``, ``vector_square``,
 ``blade_square`` and ``non_scalar_norm``.
 
+``_scaled_square`` takes every square of one value (``norm_squared``)
+again over A / 2^e when it is not finite or at most _NULL_EPS in size,
+after Blue's scaled norm (ACM TOMS 1978): the one rescale rule.
+
 All operations are pure functions of immutable values, so instances can
 be shared freely across threads.
 """
@@ -84,8 +88,7 @@ __all__ = [
 DEFAULT_TOL = 1e-12
 MAX_DIM = 12
 
-# |a.a| at or below this counts as a null vector; norm, inverse and
-# vector_square take a square this small, or not finite, over A / 2^e
+# |a.a| at or below this counts as a null vector, after _scaled_square
 _NULL_EPS = 1e-300
 
 
@@ -561,36 +564,26 @@ class Multivector:
         return total
 
     def norm(self) -> float:
-        """sqrt(|norm_squared()|); a sum of squares that is not finite or
-        at most _NULL_EPS in size is summed again over A / 2^e instead."""
-        total = self.norm_squared()
-        if not _NULL_EPS < abs(total) < math.inf and self._terms:
-            e, scaled = _pow2_scaled(self)
-            try:
-                return math.ldexp(math.sqrt(abs(scaled.norm_squared())), e)
-            except OverflowError:
-                return math.inf
-        return math.sqrt(abs(total))
+        """sqrt(|norm_squared()|), taken over A / 2^e by ``_scaled_square``;
+        inf when the norm itself overflows."""
+        e, _, s = _scaled_square(self)
+        try:
+            return math.ldexp(math.sqrt(abs(s)), e)
+        except OverflowError:
+            return math.inf
 
     def inverse(self, tol: float = DEFAULT_TOL) -> "Multivector":
         """Inverse through reversal, defined when A * ~A is a nonzero
-        scalar (vectors, blades, rotors). Zero divisors are rejected."""
-        rev = self.reverse()
-        m = self * rev
-        s = m.scalar_part()
-        if not _NULL_EPS < abs(s) < math.inf:
-            # A^-1 = (A/k)^-1 / k, for k = 2^e near A's largest coefficient
-            e, scaled = _pow2_scaled(self)
-            if e:
-                try:
-                    return _pow2_scaled(scaled.inverse(tol), e)[1]
-                except OverflowError:
-                    raise AlgebraError("inverse: a coefficient overflows") from None
+        scalar (vectors, blades, rotors). Zero divisors are rejected.
+        A^-1 = (A/k)^-1 / k for k = 2^e from ``_scaled_square``, whose s is
+        A * ~A's scalar part bit for bit: each blade meets only itself there."""
+        e, A, s = _scaled_square(self)
         if abs(s) <= _NULL_EPS:
             raise SingularError("multivector has no inverse: A * ~A vanishes")
-        if non_scalar_norm(m) > tol * max(1.0, abs(s)):
+        rev = A.reverse()
+        if non_scalar_norm(A * rev) > tol * max(1.0, abs(s)):
             raise SingularError("multivector is not invertible by reversal")
-        return rev / s
+        return _pow2_divided("inverse", rev / s, e)
 
     def exp(self, tol: float = DEFAULT_TOL) -> "Multivector":
         """Exponential of a bivector blade, in closed form.
@@ -668,13 +661,28 @@ def basis_vectors(sig: Signature) -> list[Multivector]:
     return [Multivector.blade(sig, 1 << i) for i in range(sig.dim)]
 
 
-def _pow2_scaled(A: Multivector, e: int | None = None) -> tuple[int, Multivector]:
-    """(e, A / 2^e), exact unless a coefficient leaves the normal floats
-    (OverflowError if one overflows); e defaults to the exponent that brings
-    the largest |coefficient| into [0.5, 1), or 0 if it is zero or not finite."""
-    if e is None:
-        e = math.frexp(max(map(abs, A._terms.values()), default=0.0))[1]
-    return e, Multivector._trusted(A.sig, {b: math.ldexp(c, -e) for b, c in A._terms.items()})
+def _pow2_divided(name: str, A: Multivector, e: int) -> Multivector:
+    """A / 2^e, exact for normal floats; an overflow is an AlgebraError."""
+    if not e:
+        return A
+    try:
+        return Multivector._trusted(A.sig, {b: math.ldexp(c, -e) for b, c in A._terms.items()})
+    except OverflowError:
+        raise AlgebraError(f"{name}: a coefficient overflows") from None
+
+
+def _scaled_square(A: Multivector) -> tuple[int, Multivector, float]:
+    """(e, A / 2^e, s), s the norm_squared of A / 2^e: e is 0 unless A's
+    own square is not finite or at most _NULL_EPS in size, and then brings
+    the largest |coefficient| into [0.5, 1) if that is finite and nonzero."""
+    s = A.norm_squared()
+    if _NULL_EPS < abs(s) < math.inf:
+        return 0, A, s
+    e = math.frexp(max(map(abs, A._terms.values()), default=0.0))[1]
+    if e:
+        A = _pow2_divided("rescale", A, e)
+        s = A.norm_squared()
+    return e, A, s
 
 
 def non_scalar_norm(m: Multivector) -> float:
@@ -709,21 +717,17 @@ def require_vector(name: str, a: Multivector) -> None:
 
 def require_unit_vector(name: str, a: Multivector, tol: float) -> None:
     require_vector(name, a)
-    s = dot(a, a)
+    s = a.norm_squared()
     # written so that a nan square fails it
     if not abs(s - 1.0) <= tol:
         raise GradeError(f"{name} expects a unit vector, got squared length {s!r}")
 
 
 def vector_square(name: str, a: Multivector) -> tuple[int, Multivector, float]:
-    """(e, a / 2^e, s) for the vector a, which must not be null, with s
-    the square of a / 2^e. e is 0 unless a.a is not finite or vanishes;
-    then e brings a's largest coefficient into [0.5, 1), as in ``norm``."""
+    """(e, a / 2^e, s) from ``_scaled_square`` for the vector a, which
+    must not be null: s is the square of a / 2^e."""
     require_vector(name, a)
-    e, s = 0, dot(a, a)
-    if not _NULL_EPS < abs(s) < math.inf and a._terms:
-        e, a = _pow2_scaled(a)
-        s = dot(a, a)
+    e, a, s = _scaled_square(a)
     if abs(s) <= _NULL_EPS:
         raise SingularError(f"{name} requires a vector with nonzero square")
     return e, a, s
@@ -792,12 +796,7 @@ def vector_inverse(a: Multivector) -> Multivector:
     """Inverse of a nonzero vector: a / (a.a), taken as (a/k) / ((a/k).(a/k))
     / k for k = 2^e when a.a is not finite or vanishes."""
     e, a, s = vector_square("vector_inverse", a)
-    if not e:
-        return a / s
-    try:
-        return _pow2_scaled(a / s, e)[1]
-    except OverflowError:
-        raise AlgebraError("vector_inverse: a coefficient overflows") from None
+    return _pow2_divided("vector_inverse", a / s, e)
 
 
 # a Cayley table has 4**dim entries; dimension 6 keeps it at 64 x 64

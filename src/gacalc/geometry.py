@@ -162,8 +162,8 @@ def cosine_law_residual(tri: Triangle) -> float:
     """|a|^2 + 2 a.b + |b|^2 - |c|^2, which the Law of Cosines says is
     zero (the dot term carries -2|a||b|cos of the exterior angle)."""
     return abs(
-        dot(tri.a, tri.a) + 2.0 * dot(tri.a, tri.b) + dot(tri.b, tri.b)
-        - dot(tri.c, tri.c)
+        tri.a.norm_squared() + 2.0 * dot(tri.a, tri.b) + tri.b.norm_squared()
+        - tri.c.norm_squared()
     )
 
 

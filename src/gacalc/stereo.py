@@ -67,7 +67,7 @@ def _require_plane_point(name: str, x: Multivector, tol: float) -> None:
 
 def _guard_pole(name: str, a: Multivector) -> Multivector:
     shifted = a + _POLE
-    if dot(shifted, shifted) < _POLE_EPS:
+    if shifted.norm_squared() < _POLE_EPS:
         raise SingularError(f"{name} is singular at the south pole -e3")
     return shifted
 
@@ -144,7 +144,7 @@ def prob_minus_m(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL) -> fl
     ma = to_m(a, tol)
     mb = to_m(b, tol)
     gap = ma - mb
-    return dot(gap, gap) / (dot(ma, ma) * dot(mb, mb))
+    return gap.norm_squared() / (ma.norm_squared() * mb.norm_squared())
 
 
 def prob_plus_m(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL) -> float:
@@ -158,6 +158,6 @@ def antipodal_m(x: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
     projects to x: m = -1/x + e3. The origin's antipode is the pole
     itself, which has no plane image."""
     _require_plane_point("antipodal_m", x, tol)
-    if dot(x, x) < _POLE_EPS:
+    if x.norm_squared() < _POLE_EPS:
         raise SingularError("antipodal_m: the antipode of the origin projects to infinity")
     return -vector_inverse(x) + _POLE

@@ -46,12 +46,12 @@ def project(x: Multivector, a: Multivector) -> Multivector:
 
 
 def reject(x: Multivector, a: Multivector) -> Multivector:
-    """Component of x orthogonal to a: (x^a^)a^, the wedge route, so
-    that project + reject recovering x is a real check rather than a
-    bookkeeping identity."""
+    """Component of x orthogonal to a: (x^a^).a^, the vector part of the
+    wedge route (x^a^)a^, so that project + reject recovering x is a real
+    check rather than a bookkeeping identity."""
     require_vector("reject", x)
     _, a, s = vector_square("reject", a)
-    return (((x ^ a) * a) / s).grade(1)
+    return ((x ^ a) | a) / s
 
 
 def reflect_in_plane(x: Multivector, B: Multivector, tol: float = DEFAULT_TOL) -> Multivector:

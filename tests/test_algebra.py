@@ -31,7 +31,7 @@ from gacalc import (
     dual,
     vector_inverse,
 )
-from gacalc.algebra import non_scalar_norm, vector_square
+from gacalc.algebra import _scaled_square, non_scalar_norm, vector_square
 
 from conftest import SMALL_SIGNATURES, multivectors, vectors, wild_coeff
 from oracles import (
@@ -400,33 +400,68 @@ def test_inverse_of_a_huge_or_tiny_blade(c):
         assert dict(inverse.terms) == {bits: pytest.approx(sign / c, rel=1e-15)}
 
 
-def test_inverse_rescales_general_values_and_keeps_null_ones_singular():
-    A = Multivector.vector(G3, [3e-200, 4e-200, 0])
+# a vector, a 2-blade and a rotor (1 + e12, up to scale): the value at
+# scale 1, and its exact inverse
+SCALE_SHAPES = {
+    "vector": (vec3(3, 4, 0), vec3(0.12, 0.16, 0)),
+    "2-blade": (Multivector.blade(G3, 0b011, 2.0), Multivector.blade(G3, 0b011, -0.5)),
+    "rotor": (
+        Multivector(G3, {0b000: 1.0, 0b011: 1.0}),
+        Multivector(G3, {0b000: 0.5, 0b011: -0.5}),
+    ),
+}
+
+
+@pytest.mark.parametrize("c", [1e200, 1e-200])
+@pytest.mark.parametrize("shape", SCALE_SHAPES)
+def test_inverse_rescales_general_values_and_keeps_null_ones_singular(shape, c):
+    unit, inverse = SCALE_SHAPES[shape]
+    A = unit * c
     assert (A * A.inverse()).is_close(Multivector.scalar(G3, 1.0))
-    B = Multivector.vector(G3, [3e200, 4e200, 0])
-    assert (B.inverse() * 1e200).is_close(Multivector.vector(G3, [0.12, 0.16, 0]))
+    assert (A.inverse() * c).is_close(inverse)
     with pytest.raises(SingularError):
-        Multivector.vector(Signature(1, 1), [1e-200, 1e-200]).inverse()
+        Multivector.vector(Signature(1, 1), [c, c]).inverse()
     with pytest.raises(SingularError):
-        ((1 + E1) * 1e-200).inverse()  # a zero divisor at any scale
+        ((1 + E1) * c).inverse()  # a zero divisor at any scale
     # the true inverse does not fit in a float
     with pytest.raises(AlgebraError, match="overflows"):
         Multivector.blade(G3, 0b001, 5e-324).inverse()
 
 
-def test_vector_square_rescales_only_what_overflows_or_vanishes():
-    a = vec3(3, 4, 0)
-    e, same, s = vector_square("t", a)
-    assert (e, s) == (0, 25.0) and same is a
+@pytest.mark.parametrize("shape", SCALE_SHAPES)
+def test_vector_square_rescales_only_what_overflows_or_vanishes(shape):
+    """_scaled_square, behind vector_square, norm and inverse, rescales a
+    value only when its own square is not finite or vanishes."""
+    unit = SCALE_SHAPES[shape][0]
+    e, same, s = _scaled_square(unit)
+    assert (e, s) == (0, unit.norm_squared()) and same is unit
     for c in (1e200, 1e-200, 3e-154, 1.5e308):
-        a = vec3(c, 0, 0)
-        e, scaled, s = vector_square("t", a)
-        assert e == math.frexp(c)[1]
-        assert dict(scaled.terms) == {0b001: math.ldexp(c, -e)} and 0.25 <= s < 1.0
+        A = unit * (c / max(map(abs, unit.terms.values())))
+        e, scaled, s = _scaled_square(A)
+        assert e == math.frexp(max(map(abs, A.terms.values())))[1]
+        assert dict(scaled.terms) == {b: math.ldexp(v, -e) for b, v in A.terms.items()}
+        assert s == scaled.norm_squared() and 0.25 <= s < 2.0
+        if shape == "vector":
+            assert vector_square("t", A) == (e, scaled, s)
+    # a zero, inf or nan largest coefficient keeps e = 0
+    for c in (0.0, math.inf, math.nan):
+        A = unit * c  # unit * 0.0 drops every term
+        e, same, s = _scaled_square(A)
+        assert e == 0 and same is A
+        assert s == A.norm_squared() or math.isnan(s) and math.isnan(A.norm_squared())
+        assert A.norm() == math.sqrt(abs(A.norm_squared())) or math.isnan(A.norm())
+    with pytest.raises(SingularError):
+        vector_square("t", Multivector.zero(G3))
     # a null vector stays null at any scale
     for c in (1e-200, 1.0, 1e200):
         with pytest.raises(SingularError):
             vector_square("t", Multivector.vector(Signature(1, 1), [c, c]))
+
+
+@given(st.sampled_from(SMALL_SIGNATURES).flatmap(lambda sig: vectors(sig, wild_coeff)))
+def test_norm_squared_of_a_vector_is_its_dot_bit_for_bit(v):
+    # the kernel squares a vector with norm_squared instead of dot(v, v)
+    assert v.norm_squared().hex() == dot(v, v).hex()
 
 
 @pytest.mark.parametrize("c", [1e200, 1e-200, 3e-154, -1e300])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from gacalc import (
     rotor_between,
     rotor_from_reflections,
 )
+from gacalc.algebra import vector_square
 
 from conftest import vectors
 
@@ -75,6 +77,30 @@ def test_project_and_reject_along_a_huge_or_tiny_direction(c):
     for op in (project, reject):
         with pytest.raises(SingularError):
             op(Multivector.vector(Signature(1, 1), [1, 2]), null)
+
+
+@pytest.mark.parametrize("sig", [G3, Signature(4, 1)], ids=str)
+def test_reject_keeps_the_terms_of_the_whole_product_form(sig):
+    # reject forms (x ^ a) | a; the grade-1 part of (x ^ a) * a holds the
+    # same products, summed in the same order
+    rng = random.Random(1234)
+    for case in range(600):
+        # a third of the cases at extreme scales, where one product may overflow
+        span = 150 if case % 3 == 0 else 0
+        x, a = (
+            Multivector.vector(sig, [rng.uniform(-1, 1) * 10.0 ** rng.randint(-span, span)
+                                     for _ in range(sig.dim)])
+            for _ in range(2)
+        )
+        try:
+            _, scaled, s = vector_square("t", a)
+        except SingularError:
+            continue
+        whole = (((x ^ scaled) * scaled) / s).grade(1)
+        # hex() tells every float apart and matches nan to nan
+        assert {b: c.hex() for b, c in reject(x, a).terms.items()} == {
+            b: c.hex() for b, c in whole.terms.items()
+        }
 
 
 @given(nonzero_vectors, nonzero_vectors)
