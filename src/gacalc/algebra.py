@@ -39,7 +39,7 @@ drops exact zeros; a number lifted to a scalar is passed through
 ``float()`` first. Each argument guard is written once, here, and the
 other modules call it: ``require_same_sig``, ``require_g3``,
 ``require_vector``, ``require_unit_vector``, ``vector_square``,
-``blade_square`` and ``non_scalar_norm``.
+``blade_square``, ``non_scalar_norm`` and ``reverse_square_is_scalar``.
 
 ``_scaled_square`` takes every square of one value (``norm_squared``)
 again over A / 2^e when it is not finite or at most _NULL_EPS in size,
@@ -281,11 +281,9 @@ class Multivector:
     def _trusted(cls, sig: Signature, terms: dict[int, float]) -> "Multivector":
         """Build from float terms on blades of sig that derive from
         validated operands: skips the bit and float checks, still drops
-        exact zeros. Every derived value goes through here."""
-        mv = object.__new__(cls)
-        object.__setattr__(mv, "sig", sig)
-        object.__setattr__(mv, "_terms", {b: c for b, c in terms.items() if c != 0.0})
-        return mv
+        exact zeros. Every derived value goes through here or, when its
+        terms hold no zeros already (the product lists), ``_derived``."""
+        return _derived(sig, {b: c for b, c in terms.items() if c != 0.0})
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -407,10 +405,7 @@ class Multivector:
                 signed = (ca, -ca)
                 for b, cb in right:
                     acc[a ^ b] += signed[parity[b & mask]] * cb
-            mv = object.__new__(Multivector)
-            object.__setattr__(mv, "sig", sig)
-            object.__setattr__(mv, "_terms", {bits: c for bits, c in enumerate(acc) if c})
-            return mv
+            return _derived(sig, {bits: c for bits, c in enumerate(acc) if c})
         # ^ keeps the b that share no factor with a, | those where a or b
         # contains the other (a scalar pairs only with a scalar). With the
         # right operand at least half dense, each left blade walks the
@@ -449,10 +444,7 @@ class Multivector:
                         s = (s - 1) & rest
                 elif 0 in rhs._terms:
                     acc[0] += ca * rhs._terms[0]
-            mv = object.__new__(Multivector)
-            object.__setattr__(mv, "sig", sig)
-            object.__setattr__(mv, "_terms", {bits: c for bits, c in enumerate(acc) if c})
-            return mv
+            return _derived(sig, {bits: c for bits, c in enumerate(acc) if c})
         out: dict[int, float] = {}
         get = out.get
         for a, ca in self._terms.items():
@@ -576,12 +568,14 @@ class Multivector:
         """Inverse through reversal, defined when A * ~A is a nonzero
         scalar (vectors, blades, rotors). Zero divisors are rejected.
         A^-1 = (A/k)^-1 / k for k = 2^e from ``_scaled_square``, whose s is
-        A * ~A's scalar part bit for bit: each blade meets only itself there."""
+        A * ~A's scalar part bit for bit: each blade meets only itself there.
+        The residual check forms that product only where it is not scalar
+        by form (``reverse_square_is_scalar``)."""
         e, A, s = _scaled_square(self)
         if abs(s) <= _NULL_EPS:
             raise SingularError("multivector has no inverse: A * ~A vanishes")
         rev = A.reverse()
-        if non_scalar_norm(A * rev) > tol * max(1.0, abs(s)):
+        if not reverse_square_is_scalar(A) and non_scalar_norm(A * rev) > tol * max(1.0, abs(s)):
             raise SingularError("multivector is not invertible by reversal")
         return _pow2_divided("inverse", rev / s, e)
 
@@ -656,6 +650,20 @@ class Multivector:
         return f"Multivector({self.sig}: {self})"
 
 
+# the slot setters of Multivector, which skip its blocking __setattr__
+_set_sig = Multivector.sig.__set__
+_set_terms = Multivector._terms.__set__
+
+
+def _derived(sig: Signature, terms: dict[int, float]) -> Multivector:
+    """The one builder of derived values: a Multivector of sig that takes
+    terms, which must hold no zeros, as its own."""
+    mv = object.__new__(Multivector)
+    _set_sig(mv, sig)
+    _set_terms(mv, terms)
+    return mv
+
+
 def basis_vectors(sig: Signature) -> list[Multivector]:
     """The grade-1 basis blades e1..e_dim, in order."""
     return [Multivector.blade(sig, 1 << i) for i in range(sig.dim)]
@@ -675,10 +683,12 @@ def _scaled_square(A: Multivector) -> tuple[int, Multivector, float]:
     """(e, A / 2^e, s), s the norm_squared of A / 2^e: e is 0 unless A's
     own square is not finite or at most _NULL_EPS in size, and then brings
     the largest |coefficient| into [0.5, 1) if that is finite and nonzero."""
+    if not A._terms:
+        return 0, A, 0.0
     s = A.norm_squared()
     if _NULL_EPS < abs(s) < math.inf:
         return 0, A, s
-    e = math.frexp(max(map(abs, A._terms.values()), default=0.0))[1]
+    e = math.frexp(max(map(abs, A._terms.values())))[1]
     if e:
         A = _pow2_divided("rescale", A, e)
         s = A.norm_squared()
@@ -695,6 +705,20 @@ def non_scalar_norm(m: Multivector) -> float:
         if bits:
             total += -c * c if (bits >> p).bit_count() & 1 else c * c
     return math.sqrt(abs(total))
+
+
+def reverse_square_is_scalar(A: Multivector) -> bool:
+    """Whether A * ~A is a scalar by the form of A alone, so that a
+    "reverse square is scalar" check (rotors, 2-blades, ``inverse``) needs
+    no product: its scalar part is ``A.norm_squared()`` bit for bit. A * ~A
+    is its own reverse, so it holds only grades 0, 1, 4, 5, 8, ...; for A
+    of one parity only grades 0, 4, 8, ..., and for a vector a only a.a.
+    True for a vector in any dimension and, below dimension 4, for a value
+    of one parity."""
+    terms = A._terms
+    if A.sig.dim < 4:
+        return len({_PARITY[b] for b in terms}) < 2
+    return all(b and not b & (b - 1) for b in terms)
 
 
 def require_same_sig(a: Multivector, b: Multivector) -> None:
@@ -737,11 +761,16 @@ def blade_square(name: str, B: Multivector, tol: float) -> float:
     """Square s of the 2-blade B, checked finite and scalar to tol * max(1, |s|)."""
     if B.grades() != (2,):
         raise GradeError(f"{name} expects a bivector, got grades {B.grades()}")
-    square = B * B
-    s = square.scalar_part()
+    if reverse_square_is_scalar(B):
+        # B * B = -(B * ~B) term by term; 0.0 - keeps the +0.0 that the
+        # product gives a null square, so s is its scalar part bit for bit
+        s, residual = 0.0 - B.norm_squared(), 0.0
+    else:
+        square = B * B
+        s, residual = square.scalar_part(), non_scalar_norm(square)
     if not math.isfinite(s):
         raise AlgebraError(f"{name}: the bivector square {s!r} is not finite")
-    if non_scalar_norm(square) > tol * max(1.0, abs(s)):
+    if residual > tol * max(1.0, abs(s)):
         raise NonBladeError(f"{name} expects a 2-blade: the bivector square is not scalar")
     return s
 

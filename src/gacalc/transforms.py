@@ -6,6 +6,14 @@ operation that consumes a rotor validates that contract, so any unit
 even multivector works, whether built here, from a bivector
 exponential, or as a product of unit vectors. A rotor and its negation
 act identically in the two-sided sandwich (double cover).
+
+R * ~R is its own reverse, so for an even R it holds only grades 0, 4,
+8, ...; its scalar part is ``R.norm_squared()`` bit for bit. Below
+dimension 4 that is the whole product, and the check forms none. From
+dimension 4 up it forms R * ~R and bounds the grade-4 residual too: in
+G(4,0), (e12 + e34)/sqrt(2) has norm_squared 1 yet R * ~R = 1 - e1234,
+and it is no rotor. ``blade_square`` and ``Multivector.inverse`` follow
+the same rule (``reverse_square_is_scalar``).
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from gacalc.algebra import (
     non_scalar_norm,
     require_unit_vector,
     require_vector,
+    reverse_square_is_scalar,
     vector_square,
 )
 
@@ -76,9 +85,11 @@ def reflect_normal(x: Multivector, n: Multivector, tol: float = DEFAULT_TOL) -> 
 def _check_rotor(name: str, R: Multivector, tol: float) -> None:
     if any(g not in (0, 2) for g in R.grades()):
         raise GradeError(f"{name} expects a rotor (grades 0 and 2), got grades {R.grades()}")
-    m = R * R.reverse()
-    # written so that a nan residual fails it
-    if not abs(m.scalar_part() - 1.0) <= tol or not non_scalar_norm(m) <= tol:
+    # norm_squared is R * ~R's scalar part bit for bit. Written so that a
+    # nan fails it
+    if not abs(R.norm_squared() - 1.0) <= tol or not (
+        reverse_square_is_scalar(R) or non_scalar_norm(R * R.reverse()) <= tol
+    ):
         raise NonBladeError(f"{name} expects a unit rotor: R * ~R must be 1")
 
 

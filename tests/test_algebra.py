@@ -365,7 +365,7 @@ def test_general_inverse_handles_rotors_and_rejects_zero_divisors():
     assert (R * R.inverse()).is_close(Multivector.scalar(G3, 1.0))
     with pytest.raises(SingularError):
         (1 + E1).inverse()  # (1+e1)(1-e1) = 0, a genuine zero divisor
-    with pytest.raises(SingularError):
+    with pytest.raises(SingularError, match=r"A \* ~A vanishes"):
         Multivector.zero(G3).inverse()
 
 
