@@ -35,15 +35,21 @@ signature and pass every coefficient through ``float()``. Values the
 kernel derives from such operands (products, sums and differences,
 negation, scaling by a number, reverse, grade parts) are built by the
 internal ``Multivector._trusted``, which skips those checks and only
-drops exact zeros; a number lifted to a scalar is passed through
-``float()`` first. Each argument guard is written once, here, and the
-other modules call it: ``require_same_sig``, ``require_g3``,
-``require_vector``, ``require_unit_vector``, ``vector_square``,
-``blade_square``, ``non_scalar_norm`` and ``reverse_square_is_scalar``.
+drops exact zeros; it takes ownership of the dict its caller has just
+built and copies it only when a zero must go. A number lifted to a
+scalar is passed through ``float()`` first; a Multivector operand is
+used as it is, once its signature is the same. Each argument guard and
+shared derived form is written once, here, and the other modules call
+it: ``require_same_sig``, ``require_g3``, ``require_vector``,
+``require_unit_vector``, ``vector_square``, ``blade_square``,
+``non_scalar_norm``, ``reverse_square_is_scalar`` and ``sandwich``, the
+vector part of V x ~V behind every rotation and reflection.
 
 ``_scaled_square`` takes every square of one value (``norm_squared``)
 again over A / 2^e when it is not finite or at most _NULL_EPS in size,
 after Blue's scaled norm (ACM TOMS 1978): the one rescale rule.
+``non_scalar_norm`` passes a residual whose unscaled square is not
+finite through it too.
 
 All operations are pure functions of immutable values, so instances can
 be shared freely across threads.
@@ -281,9 +287,13 @@ class Multivector:
     def _trusted(cls, sig: Signature, terms: dict[int, float]) -> "Multivector":
         """Build from float terms on blades of sig that derive from
         validated operands: skips the bit and float checks, still drops
-        exact zeros. Every derived value goes through here or, when its
+        exact zeros. terms must be a dict the caller has just built: it
+        becomes the value's own, copied only to drop a 0.0 or -0.0 (nan
+        and inf stay). Every derived value goes through here or, when its
         terms hold no zeros already (the product lists), ``_derived``."""
-        return _derived(sig, {b: c for b, c in terms.items() if c != 0.0})
+        if 0.0 in terms.values():
+            terms = {b: c for b, c in terms.items() if c != 0.0}
+        return _derived(sig, terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -355,22 +365,28 @@ class Multivector:
         return None
 
     def __add__(self, other):
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
+        if not isinstance(other, Multivector):
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
+        elif other.sig is not self.sig:
+            require_same_sig(self, other)
         out = dict(self._terms)
-        for bits, c in rhs._terms.items():
+        for bits, c in other._terms.items():
             out[bits] = out.get(bits, 0.0) + c
         return Multivector._trusted(self.sig, out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
+        if not isinstance(other, Multivector):
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
+        elif other.sig is not self.sig:
+            require_same_sig(self, other)
         out = dict(self._terms)
-        for bits, c in rhs._terms.items():
+        for bits, c in other._terms.items():
             out[bits] = out.get(bits, 0.0) - c
         return Multivector._trusted(self.sig, out)
 
@@ -470,13 +486,14 @@ class Multivector:
         return Multivector._trusted(sig, out)
 
     def __mul__(self, other):
+        if isinstance(other, Multivector):
+            if other.sig is not self.sig:
+                require_same_sig(self, other)
+            return self._product(other, _GP)
         if isinstance(other, (int, float)):
             s = float(other)
             return Multivector._trusted(self.sig, {b: c * s for b, c in self._terms.items()})
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return self._product(rhs, _GP)
+        return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, float)):
@@ -485,10 +502,13 @@ class Multivector:
 
     def __xor__(self, other):
         """Outer (wedge) product: the grade-(r+s) parts of the product."""
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return self._product(rhs, _OUTER)
+        if not isinstance(other, Multivector):
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
+        elif other.sig is not self.sig:
+            require_same_sig(self, other)
+        return self._product(other, _OUTER)
 
     def __rxor__(self, other):
         if isinstance(other, (int, float)):
@@ -503,10 +523,13 @@ class Multivector:
         product, and on a vector with a bivector it is the antisymmetric
         part (aB - Ba)/2.
         """
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return self._product(rhs, _INNER)
+        if not isinstance(other, Multivector):
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
+        elif other.sig is not self.sig:
+            require_same_sig(self, other)
+        return self._product(other, _INNER)
 
     def __ror__(self, other):
         if isinstance(other, (int, float)):
@@ -549,10 +572,12 @@ class Multivector:
         negative in mixed signatures."""
         total = 0.0
         p = self.sig.p
+        parity = _PARITY
         for bits, c in self._terms.items():
             # a blade times its reverse is the product of its factors'
-            # squares, and the factors at positions >= p square to -1
-            total += -c * c if (bits >> p).bit_count() & 1 else c * c
+            # squares, and the factors at positions >= p square to -1:
+            # the sign is the parity of bits >> p
+            total += -c * c if parity[bits >> p] else c * c
         return total
 
     def norm(self) -> float:
@@ -698,13 +723,43 @@ def _scaled_square(A: Multivector) -> tuple[int, Multivector, float]:
 def non_scalar_norm(m: Multivector) -> float:
     """Norm of m minus its scalar part: the residual of a "square is
     scalar" check. Sums the same terms in the same order as the unscaled
-    ``(m - m.scalar_part()).norm()`` without building that difference."""
+    ``(m - m.scalar_part()).norm()`` without building that difference;
+    only when that sum is not finite does it build the difference and
+    take its ``norm``, so that a residual past ~1.3e154 is not inf."""
     total = 0.0
     p = m.sig.p
+    parity = _PARITY
     for bits, c in m._terms.items():
         if bits:
-            total += -c * c if (bits >> p).bit_count() & 1 else c * c
-    return math.sqrt(abs(total))
+            total += -c * c if parity[bits >> p] else c * c
+    if math.isfinite(total):
+        return math.sqrt(abs(total))
+    return _derived(m.sig, {b: c for b, c in m._terms.items() if b}).norm()
+
+
+def sandwich(V: Multivector, x: Multivector) -> Multivector:
+    """The grade-1 part of V * x * ~V, bit for bit as
+    ``(V * x * ~V).grade(1)``: V * x comes from ``_product``, and of
+    (V * x) * ~V only the pairs whose blade is a vector are summed, in
+    the same left-term order and with the coefficients of ~V, so neither
+    the ~V value nor the other grades are built."""
+    if x.sig is not V.sig:
+        require_same_sig(V, x)
+    vx = V._product(x, _GP)
+    p = V.sig.p
+    suffix, parity = _SUFFIX, _PARITY
+    # the terms of ~V, signed as in ``reverse``
+    right = [(b, -c if b.bit_count() & 2 else c) for b, c in V._terms.items()]
+    out: dict[int, float] = {}
+    get = out.get
+    for a, ca in vx._terms.items():
+        mask = suffix[a] ^ (a >> p << p)
+        signed = (ca, -ca)
+        for b, cb in right:
+            bits = a ^ b
+            if bits and not bits & (bits - 1):
+                out[bits] = get(bits, 0.0) + signed[parity[b & mask]] * cb
+    return Multivector._trusted(V.sig, out)
 
 
 def reverse_square_is_scalar(A: Multivector) -> bool:

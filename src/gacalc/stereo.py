@@ -28,6 +28,7 @@ from gacalc.algebra import (
     require_g3,
     require_unit_vector,
     require_vector,
+    sandwich,
     vector_inverse,
 )
 
@@ -83,7 +84,8 @@ def stereo_project(a: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
     # cancels two numbers near 1 and keeps a rounding residue that grows
     # like 1/(1 + a.e3) toward the south pole, past stereo_unproject's
     # plane check; so x is taken as y's in-plane part
-    return Multivector.vector(G3, [y.coeff(0b001), y.coeff(0b010), 0.0])
+    get = y.terms.get
+    return Multivector._trusted(G3, {0b001: get(0b001, 0.0), 0b010: get(0b010, 0.0)})
 
 
 def to_m(a: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
@@ -101,7 +103,8 @@ def stereo_unproject(x: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
     _require_plane_point("stereo_unproject", x, tol)
     m = x + _POLE
     m_hat = m / m.norm()
-    return (m_hat * _POLE * m_hat).grade(1)
+    # ~m_hat = m_hat
+    return sandwich(m_hat, _POLE)
 
 
 def rotation_form(x: Multivector, tol: float = DEFAULT_TOL) -> Multivector:

@@ -14,6 +14,11 @@ dimension 4 up it forms R * ~R and bounds the grade-4 residual too: in
 G(4,0), (e12 + e34)/sqrt(2) has norm_squared 1 yet R * ~R = 1 - e1234,
 and it is no rotor. ``blade_square`` and ``Multivector.inverse`` follow
 the same rule (``reverse_square_is_scalar``).
+
+Every sandwich here is ``sandwich(V, x)``, the vector part of V x ~V,
+which sums only the vector terms of the second product and builds no
+reverse: ``rotate`` is sandwich(R, x), ``reflect_normal`` -sandwich(n, x)
+since ~n = n, and ``reflect_in_plane`` -sandwich(B, x) since ~B = -B.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from gacalc.algebra import (
     require_unit_vector,
     require_vector,
     reverse_square_is_scalar,
+    sandwich,
     vector_square,
 )
 
@@ -71,7 +77,8 @@ def reflect_in_plane(x: Multivector, B: Multivector, tol: float = DEFAULT_TOL) -
     s = blade_square("reflect_in_plane", B, tol)
     if abs(s + 1.0) > tol:
         raise NonBladeError(f"reflect_in_plane expects a unit plane: B*B = -1, got {s!r}")
-    return (B * x * B).grade(1)
+    # ~B = -B, so B x B = -(B x ~B)
+    return -sandwich(B, x)
 
 
 def reflect_normal(x: Multivector, n: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
@@ -79,7 +86,8 @@ def reflect_normal(x: Multivector, n: Multivector, tol: float = DEFAULT_TOL) -> 
     -n x n. In G(3,0) this equals reflect_in_plane(x, dual(n))."""
     require_vector("reflect_normal", x)
     require_unit_vector("reflect_normal", n, tol)
-    return -(n * x * n).grade(1)
+    # ~n = n
+    return -sandwich(n, x)
 
 
 def _check_rotor(name: str, R: Multivector, tol: float) -> None:
@@ -110,7 +118,7 @@ def rotate(x: Multivector, R: Multivector, tol: float = DEFAULT_TOL) -> Multivec
     R x ~R. R and -R rotate identically."""
     require_vector("rotate", x)
     _check_rotor("rotate", R, tol)
-    return (R * x * R.reverse()).grade(1)
+    return sandwich(R, x)
 
 
 def rotor_from_reflections(

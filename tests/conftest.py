@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import hypothesis.strategies as st
 
 from gacalc import Multivector, Signature
@@ -15,6 +17,12 @@ SMALL_SIGNATURES = [
 # bounded coefficients keep absolute tolerances meaningful
 tame_coeff = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 wild_coeff = st.floats(allow_nan=False, allow_infinity=False, width=64)
+# wild floats and the edges of the double range: squares of +-1e150
+# overflow, products of 1e300 do, 5e-324 underflows, inf and nan propagate
+edge_coeff = st.one_of(
+    wild_coeff,
+    st.sampled_from([1e150, -1e150, 1e300, -1e300, 5e-324, math.inf, -math.inf, math.nan]),
+)
 
 
 def multivectors(sig: Signature, coeff=tame_coeff, grades=None):

@@ -31,9 +31,9 @@ from gacalc import (
     dual,
     vector_inverse,
 )
-from gacalc.algebra import _scaled_square, non_scalar_norm, vector_square
+from gacalc.algebra import _scaled_square, non_scalar_norm, sandwich, vector_square
 
-from conftest import SMALL_SIGNATURES, multivectors, vectors, wild_coeff
+from conftest import SMALL_SIGNATURES, edge_coeff, multivectors, vectors, wild_coeff
 from oracles import (
     blade_product_oracle,
     dense_table_oracle,
@@ -138,11 +138,35 @@ def test_constructors_and_canonical_form():
         Multivector(G2, {0b100: 1.0})  # blade outside the algebra
 
 
-def test_signature_mismatch_raises():
+BINARY_OPS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "^": lambda a, b: a ^ b,
+    "|": lambda a, b: a | b,
+}
+
+
+@pytest.mark.parametrize("op", BINARY_OPS)
+def test_signature_mismatch_raises(op):
+    apply = BINARY_OPS[op]
     with pytest.raises(SignatureMismatch):
-        E1 + Multivector.vector(G2, [1, 0])
+        apply(E1, Multivector.vector(G2, [1, 0]))
     with pytest.raises(SignatureMismatch):
-        E1 * Multivector.vector(G2, [1, 0])
+        apply(Multivector.vector(G2, [1, 0]), E1)
+    # an equal signature built apart is the same algebra
+    twin = Multivector.blade(Signature(3, 0), 0b010)
+    assert apply(E1, twin) == apply(E1, E2)
+
+
+@pytest.mark.parametrize("op", BINARY_OPS)
+def test_a_foreign_operand_is_a_type_error(op):
+    apply = BINARY_OPS[op]
+    for other in ("x", None, [1.0], 1j):
+        with pytest.raises(TypeError):
+            apply(E1, other)
+        with pytest.raises(TypeError):
+            apply(other, E1)
 
 
 @given(multivectors(G3, coeff=wild_coeff))
@@ -680,6 +704,36 @@ def test_derived_values_hold_no_exact_zero(sig):
         assert (A - A.scalar_part()).scalar_part() == 0.0
         for got in (A * 1e-320, A + A.grade(1), A - A.grade(2)):
             assert 0.0 not in got.terms.values()
+
+
+def test_trusted_drops_signed_zeros_and_keeps_non_finite_terms():
+    terms = {0: 0.0, 0b001: -0.0, 0b010: math.nan, 0b100: math.inf, 0b011: -math.inf, 0b101: 2.0}
+    got = Multivector._trusted(G3, dict(terms))
+    assert list(got.terms) == [0b010, 0b100, 0b011, 0b101]
+    assert math.isnan(got.terms[0b010])
+    assert (got.terms[0b100], got.terms[0b011], got.terms[0b101]) == (math.inf, -math.inf, 2.0)
+    # a dict without zeros becomes the value's own, unfiltered
+    fresh = {0b001: 1.0, 0b010: math.nan}
+    assert Multivector._trusted(G3, fresh)._terms is fresh
+
+
+# wild floats and the edges of the double range
+EDGE_SIGS = [G3, Signature(2, 1), Signature(4, 1)]
+
+
+@pytest.mark.parametrize("sig", EDGE_SIGS, ids=str)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_derived_values_hold_no_zero_and_leave_their_operands_alone(sig, data):
+    A = data.draw(multivectors(sig, coeff=edge_coeff))
+    B = data.draw(multivectors(sig, coeff=edge_coeff))
+    before = exact_terms(A), exact_terms(B)
+    results = [A + B, A - B, A - A, A * B, A ^ B, A | B, -A, A * 0.5, 1e-300 * A, A / 3, ~A]
+    results += [A + 1, 1 - A, 2 ^ A, A | 2, A.grade(1), sandwich(A, B)]
+    for got in results:
+        assert 0.0 not in got.terms.values()
+        assert got._terms is not A._terms and got._terms is not B._terms
+    assert (exact_terms(A), exact_terms(B)) == before
 
 
 def test_lifted_numbers_are_stored_as_floats():

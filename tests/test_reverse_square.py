@@ -7,6 +7,7 @@ residual still decide."""
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -73,13 +74,23 @@ def rotor_verdict(R, tol):
 NOT_INVERTIBLE = (SingularError, "multivector is not invertible by reversal")
 
 
+def unscaled_residual(m):
+    """non_scalar_norm as it read before it rescaled: its squares overflow
+    past ~1.3e154."""
+    total = 0.0
+    for b, c in m.terms.items():
+        if b:
+            total += -c * c if (b >> m.sig.p).bit_count() & 1 else c * c
+    return math.sqrt(abs(total))
+
+
 def old_inverse(A, tol=DEFAULT_TOL, residual_check=True):
     """Multivector.inverse as it read with the product at every dimension."""
     e, A, s = _scaled_square(A)
     if abs(s) <= _NULL_EPS:
         raise SingularError("multivector has no inverse: A * ~A vanishes")
     rev = A.reverse()
-    if residual_check and non_scalar_norm(A * rev) > tol * max(1.0, abs(s)):
+    if residual_check and unscaled_residual(A * rev) > tol * max(1.0, abs(s)):
         raise SingularError(NOT_INVERTIBLE[1])
     return _pow2_divided("inverse", rev / s, e)
 
@@ -198,6 +209,44 @@ def test_the_dimension_4_residual_still_bites():
     assert rotate(F1, TURN).is_close(Multivector.blade(G4, 0b0010, -1.0))
     assert compose_rotors(TURN, TURN).is_close(Multivector.blade(G4, 0b0011))
     assert (TURN * TURN.inverse()).is_close(1.0)
+
+
+def test_a_large_dimension_4_rotor_inverts():
+    # unit rotors of e1..e3 times 1e153: A * ~A is ~1e306, finite, but its
+    # rounding terms of ~1e290 overflowed the unscaled residual
+    rng = random.Random(14)
+    overflowed = 0
+    for _ in range(200):
+        w = [rng.gauss(0.0, 1.0) for _ in range(4)]
+        k = math.sqrt(sum(c * c for c in w))
+        A = Multivector(G4, dict(zip((0, 0b011, 0b101, 0b110), (1e153 * c / k for c in w))))
+        overflowed += unscaled_residual(A * A.reverse()) == math.inf
+        assert (A * A.inverse()).is_close(1.0)
+    assert overflowed > 50
+    with pytest.raises(SingularError, match="not invertible by reversal"):
+        (NOT_A_ROTOR * 1e153).inverse()
+
+
+def test_a_large_dimension_4_blade_is_a_blade():
+    # (a ^ b) * 1e153 squares to a finite scalar near -1e306, with rounding
+    # terms that overflowed the unscaled residual
+    rng = random.Random(14)
+    for _ in range(50):
+        a, b = (Multivector.vector(G4, [rng.gauss(0.0, 1.0) for _ in range(4)]) for _ in "ab")
+        B = (a ^ b) * 1e153
+        assert bits(blade_square("t", B, DEFAULT_TOL)) == bits((B * B).scalar_part())
+
+
+def test_an_overflowing_residual_is_rescaled():
+    m = Multivector(G4, {0: 1.0, 0b0011: 1e-300, 0b1111: 3e200})
+    assert non_scalar_norm(m) == 3e200
+    # signed squares of 4e400 and -1e400, whose unscaled sum is inf - inf
+    mixed = Multivector(Signature(4, 1), {0: 1.0, 0b01111: 2e200, 0b10111: 1e200})
+    assert math.isnan(unscaled_residual(mixed))
+    assert non_scalar_norm(mixed) == pytest.approx(math.sqrt(3.0) * 1e200, rel=1e-15)
+    # past the largest double the residual is inf, as norm() is
+    huge = Multivector(G4, {0b0011: 1.5e308, 0b1100: 1.5e308})
+    assert non_scalar_norm(huge) == huge.norm() == math.inf
 
 
 @pytest.mark.parametrize("c", [1e200, math.nan])
