@@ -48,8 +48,11 @@ vector part of V x ~V behind every rotation and reflection.
 ``_scaled_square`` takes every square of one value (``norm_squared``)
 again over A / 2^e when it is not finite or at most _NULL_EPS in size,
 after Blue's scaled norm (ACM TOMS 1978): the one rescale rule.
-``non_scalar_norm`` passes a residual whose unscaled square is not
-finite through it too.
+``non_scalar_norm``, the unsigned coefficient norm of a residual, passes
+a sum that is not finite, or that underflows, through it too.
+
+The module imports only ``math``, ``collections.abc`` and ``types``, so
+that ``import gacalc``, which loads this module alone, stays cheap.
 
 All operations are pure functions of immutable values, so instances can
 be shared freely across threads.
@@ -58,9 +61,8 @@ be shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 __all__ = [
     "AlgebraError",
@@ -118,21 +120,45 @@ class NonBladeError(AlgebraError):
     """A bivector is not a blade (or not unit) where one is required."""
 
 
-@dataclass(frozen=True)
 class Signature:
     """Metric signature (p, q): basis vectors 1..p square to +1, the
-    remaining q square to -1. Degenerate directions are not supported."""
+    remaining q square to -1. Degenerate directions are not supported.
 
-    p: int
-    q: int
+    Frozen and compared, hashed and shown by (p, q). It is written by hand
+    rather than as a dataclass, so that importing the kernel does not
+    import ``dataclasses`` (and with it ``inspect``)."""
 
-    def __post_init__(self) -> None:
-        if self.p < 0 or self.q < 0:
-            raise AlgebraError(f"signature counts must be nonnegative, got ({self.p},{self.q})")
-        if not 1 <= self.p + self.q <= MAX_DIM:
-            raise AlgebraError(
-                f"dimension {self.p + self.q} outside the supported range 1..{MAX_DIM}"
-            )
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: int, q: int) -> None:
+        if p < 0 or q < 0:
+            raise AlgebraError(f"signature counts must be nonnegative, got ({p},{q})")
+        if not 1 <= p + q <= MAX_DIM:
+            raise AlgebraError(f"dimension {p + q} outside the supported range 1..{MAX_DIM}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # the default reduce restores the slots through the blocking
+        # __setattr__; rebuilding through __init__ also revalidates
+        return Signature, (self.p, self.q)
+
+    def __eq__(self, other):
+        if other.__class__ is Signature:
+            return self.p == other.p and self.q == other.q
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q))
+
+    def __repr__(self) -> str:
+        return f"Signature(p={self.p!r}, q={self.q!r})"
 
     @property
     def dim(self) -> int:
@@ -600,7 +626,8 @@ class Multivector:
         if abs(s) <= _NULL_EPS:
             raise SingularError("multivector has no inverse: A * ~A vanishes")
         rev = A.reverse()
-        if not reverse_square_is_scalar(A) and non_scalar_norm(A * rev) > tol * max(1.0, abs(s)):
+        # relative to |s|, so that the verdict does not depend on A's scale
+        if not reverse_square_is_scalar(A) and non_scalar_norm(A * rev) > tol * abs(s):
             raise SingularError("multivector is not invertible by reversal")
         return _pow2_divided("inverse", rev / s, e)
 
@@ -721,20 +748,25 @@ def _scaled_square(A: Multivector) -> tuple[int, Multivector, float]:
 
 
 def non_scalar_norm(m: Multivector) -> float:
-    """Norm of m minus its scalar part: the residual of a "square is
-    scalar" check. Sums the same terms in the same order as the unscaled
-    ``(m - m.scalar_part()).norm()`` without building that difference;
-    only when that sum is not finite does it build the difference and
-    take its ``norm``, so that a residual past ~1.3e154 is not inf."""
+    """Coefficient norm sqrt(sum c*c) of m minus its scalar part: the
+    residual of a "square is scalar" check. The squares are unsigned, so
+    that in a mixed signature the metric signs of the residual's blades
+    cannot cancel (in G(4,1), A * ~A = 1 - 2*e1234 - 2*e1235 for A = e12 +
+    e34 + e35 has metric norm 0); in G(p,0) it is the metric norm of that
+    difference bit for bit. A sum that is not finite, or at most
+    _NULL_EPS while a term is nonzero, is taken again by ``_scaled_square``
+    over the same terms in G(dim,0), so that a residual past ~1.3e154 is
+    not inf and one below ~1e-150 is not 0."""
     total = 0.0
-    p = m.sig.p
-    parity = _PARITY
     for bits, c in m._terms.items():
         if bits:
-            total += -c * c if parity[bits >> p] else c * c
-    if math.isfinite(total):
-        return math.sqrt(abs(total))
-    return _derived(m.sig, {b: c for b, c in m._terms.items() if b}).norm()
+            total += c * c
+    if _NULL_EPS < total < math.inf:
+        return math.sqrt(total)
+    rest = {b: c for b, c in m._terms.items() if b}
+    if not rest:
+        return 0.0
+    return _derived(Signature(m.sig.dim, 0), rest).norm()
 
 
 def sandwich(V: Multivector, x: Multivector) -> Multivector:
@@ -777,7 +809,7 @@ def reverse_square_is_scalar(A: Multivector) -> bool:
 
 
 def require_same_sig(a: Multivector, b: Multivector) -> None:
-    # `is` first: Signature's dataclass __eq__ builds two tuples
+    # `is` first: the common case skips Signature.__eq__
     if a.sig is not b.sig and a.sig != b.sig:
         raise SignatureMismatch(f"operands live in different algebras: {a.sig} vs {b.sig}")
 

@@ -10,12 +10,13 @@ rejected wherever it would be consumed.
 
 The two-outcome probabilities use the dot form (1 +- a.b)/2 as the
 primary computation; the squared-plane-distance form is provided
-separately as an independent verification path.
+separately as an independent verification path. A probability that
+rounding pushes out of [0, 1] is clamped and logged as a warning on the
+``gacalc.stereo`` logger; ``logging`` is imported only on that branch,
+so loading this module does not load it.
 """
 
 from __future__ import annotations
-
-import logging
 
 from gacalc.algebra import (
     DEFAULT_TOL,
@@ -43,8 +44,6 @@ __all__ = [
     "prob_minus_m",
     "antipodal_m",
 ]
-
-log = logging.getLogger(__name__)
 
 # squared norm of (a + e3) below this counts as the projection pole
 _POLE_EPS = 1e-24
@@ -119,7 +118,9 @@ def rotation_form(x: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
 def _clamped_probability(name: str, value: float) -> float:
     clamped = min(1.0, max(0.0, value))
     if abs(clamped - value) > 1e-12:
-        log.warning("%s clamped by %.3g", name, abs(clamped - value))
+        import logging
+
+        logging.getLogger(__name__).warning("%s clamped by %.3g", name, abs(clamped - value))
     return clamped
 
 

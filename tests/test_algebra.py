@@ -749,6 +749,13 @@ def test_lifted_numbers_are_stored_as_floats():
 
 @pytest.mark.parametrize("sig", DERIVED_SIGS, ids=str)
 def test_non_scalar_norm_matches_the_difference_norm(sig):
+    # the norm of m minus its scalar part, with the terms' squares unsigned:
+    # the metric norm of the same terms in G(dim,0), and in G(p,0) the
+    # metric norm of the difference itself
+    euclid = Signature(sig.dim, 0)
     for A in seeded_operands(sig, 2):
         for m in (A, A * ~A, A * A, A + 1.5, A.grade(0), A - A.scalar_part()):
-            assert non_scalar_norm(m) == (m - m.scalar_part()).norm()
+            difference = m - m.scalar_part()
+            assert non_scalar_norm(m) == Multivector(euclid, difference.terms).norm()
+            if not sig.q:
+                assert non_scalar_norm(m) == difference.norm()

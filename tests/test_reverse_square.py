@@ -240,13 +240,75 @@ def test_a_large_dimension_4_blade_is_a_blade():
 def test_an_overflowing_residual_is_rescaled():
     m = Multivector(G4, {0: 1.0, 0b0011: 1e-300, 0b1111: 3e200})
     assert non_scalar_norm(m) == 3e200
-    # signed squares of 4e400 and -1e400, whose unscaled sum is inf - inf
+    # metric-signed squares of 4e400 and -1e400, whose unscaled sum is
+    # inf - inf; the residual adds them unsigned
     mixed = Multivector(Signature(4, 1), {0: 1.0, 0b01111: 2e200, 0b10111: 1e200})
     assert math.isnan(unscaled_residual(mixed))
-    assert non_scalar_norm(mixed) == pytest.approx(math.sqrt(3.0) * 1e200, rel=1e-15)
+    assert non_scalar_norm(mixed) == pytest.approx(math.sqrt(5.0) * 1e200, rel=1e-15)
     # past the largest double the residual is inf, as norm() is
     huge = Multivector(G4, {0b0011: 1.5e308, 0b1100: 1.5e308})
     assert non_scalar_norm(huge) == huge.norm() == math.inf
+
+
+def inverse_verdict(A):
+    try:
+        A.inverse()
+    except SingularError:
+        return False
+    return True
+
+
+def seeded_even_values(sig, seed, count=150):
+    """Even values of sig: random sums of even blades, which are mostly not
+    invertible by reversal, and products of two or four random vectors,
+    which are."""
+    rng = random.Random(f"{sig}:{seed}")
+    even = [b for b in range(1 << sig.dim) if not b.bit_count() % 2]
+    out = []
+    for i in range(count):
+        if i % 2:
+            blades = rng.sample(even, rng.randint(2, 6))
+            out.append(Multivector(sig, {b: rng.gauss(0.0, 1.0) for b in blades}))
+        else:
+            A = Multivector.scalar(sig, 1.0)
+            for _ in range(rng.choice((2, 4))):
+                A = A * Multivector.vector(sig, [rng.gauss(0.0, 1.0) for _ in range(sig.dim)])
+            out.append(A)
+    return out
+
+
+@pytest.mark.parametrize("sig", [Signature(4, 0), Signature(4, 1), Signature(3, 3)], ids=str)
+def test_the_inverse_verdict_does_not_depend_on_scale(sig):
+    # 2^-332 and 2^332, the powers of two nearest 1e-100 and 1e100: scaling
+    # by them is exact, so the verdict must agree exactly. A decimal scale
+    # rounds every coefficient anew, and can move a versor whose relative
+    # residual lies within rounding of tol across it
+    verdicts = []
+    for A in seeded_even_values(sig, 15):
+        verdict = inverse_verdict(A)
+        for scale in (2.0**-332, 2.0**332):
+            assert inverse_verdict(A * scale) == verdict, (A, scale)
+        verdicts.append(verdict)
+    assert 20 < sum(verdicts) < len(verdicts) - 20
+
+
+@pytest.mark.parametrize(
+    "sig, terms",
+    [
+        # A * ~A = 1 - 2*e1234 - 2*e1235, whose metric-signed squares cancel
+        (Signature(4, 1), {0b00011: 1.0, 0b01100: 1.0, 0b10100: 1.0}),
+        # A * ~A = 2 - 2*e1234 times 1e-200, whose squares underflow
+        (Signature(4, 0), {0b0011: 1e-100, 0b1100: 1e-100}),
+    ],
+)
+def test_a_non_invertible_residual_is_not_lost(sig, terms):
+    with pytest.raises(SingularError, match=NOT_INVERTIBLE[1]):
+        Multivector(sig, terms).inverse()
+
+
+def test_a_small_invertible_value_still_inverts():
+    A = Multivector(Signature(4, 0), {0: 1e-100, 0b0011: 1e-100})
+    assert (A * A.inverse()).is_close(1.0)
 
 
 @pytest.mark.parametrize("c", [1e200, math.nan])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import math
 
 import pytest
@@ -205,3 +206,13 @@ def test_antipodal_probability_is_certainty(a):
     # a normalized vector's self-dot is one ulp shy of 1, so allow that
     assert math.isclose(prob_minus(a, -a), 1.0, abs_tol=1e-15)
     assert abs(prob_plus(a, -a)) <= 1e-15
+
+
+def test_a_clamped_probability_is_logged(caplog):
+    # a loose tol admits a direction whose dot with itself passes 1
+    a = Multivector.vector(G3, [1.0 + 1e-8, 0.0, 0.0])
+    with caplog.at_level(logging.WARNING, logger="gacalc.stereo"):
+        assert prob_plus(a, a, tol=1e-6) == 1.0
+        assert prob_minus(a, a, tol=1e-6) == 0.0
+    assert [r.name for r in caplog.records] == ["gacalc.stereo"] * 2
+    assert "prob_plus clamped by 1e-08" in caplog.text
