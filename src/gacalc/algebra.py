@@ -42,14 +42,22 @@ used as it is, once its signature is the same. Each argument guard and
 shared derived form is written once, here, and the other modules call
 it: ``require_same_sig``, ``require_g3``, ``require_vector``,
 ``require_unit_vector``, ``vector_square``, ``blade_square``,
-``non_scalar_norm``, ``reverse_square_is_scalar`` and ``sandwich``, the
-vector part of V x ~V behind every rotation and reflection.
+``coefficient_norm``, ``non_scalar_norm``, ``reverse_square_is_scalar``
+and ``sandwich``, the vector part of V x ~V behind every rotation and
+reflection.
 
 ``_scaled_square`` takes every square of one value (``norm_squared``)
 again over A / 2^e when it is not finite or at most _NULL_EPS in size,
 after Blue's scaled norm (ACM TOMS 1978): the one rescale rule.
-``non_scalar_norm``, the unsigned coefficient norm of a residual, passes
-a sum that is not finite, or that underflows, through it too.
+
+Two norms sit on it. ``A.norm()`` is the metric norm
+sqrt(|norm_squared()|), which reads 0 for a nonzero null value such as
+e4 + e5 in G(4,1); lengths, distances and normalising use it.
+``coefficient_norm(A)`` is sqrt(sum c*c), the metric norm of the same
+terms over G(dim,0), which reads 0 only for 0; every closeness test and
+residual measures with it (``is_close``, ``non_scalar_norm``, the
+calculator's ``assert`` gap and the containment tests of ``geometry``).
+In G(p,0) the two give the same bits.
 
 The module imports only ``math``, ``collections.abc`` and ``types``, so
 that ``import gacalc``, which loads this module alone, stays cheap.
@@ -666,13 +674,15 @@ class Multivector:
         abs_tol: float = DEFAULT_TOL,
         rel_tol: float = DEFAULT_TOL,
     ) -> bool:
-        """Whether the difference norm is within abs_tol plus rel_tol
-        scaled by the larger operand norm."""
+        """Whether the difference is within abs_tol plus rel_tol scaled by
+        the larger operand, each measured by ``coefficient_norm``, not the
+        metric ``norm``: in a mixed signature a nonzero null difference
+        such as e4 + e5 in G(4,1) is not close to 0."""
         rhs = self._lift(other)
         if rhs is None:
             raise TypeError(f"cannot compare Multivector with {type(other).__name__}")
-        gap = (self - rhs).norm()
-        return gap <= abs_tol + rel_tol * max(self.norm(), rhs.norm())
+        gap = coefficient_norm(self - rhs)
+        return gap <= abs_tol + rel_tol * max(coefficient_norm(self), coefficient_norm(rhs))
 
     def __eq__(self, other):
         if isinstance(other, (int, float)):
@@ -747,26 +757,24 @@ def _scaled_square(A: Multivector) -> tuple[int, Multivector, float]:
     return e, A, s
 
 
+def coefficient_norm(A: Multivector) -> float:
+    """Coefficient norm sqrt(sum c*c) of A, taken by ``_scaled_square``:
+    the measure of every closeness test and residual. The squares are
+    unsigned, so that in a mixed signature the metric signs of A's blades
+    cannot cancel (e4 + e5 in G(4,1) has metric norm 0); it is the metric
+    norm of the same terms over G(dim,0), and in G(p,0) ``A.norm()`` itself."""
+    if A.sig.q:
+        A = _derived(Signature(A.sig.dim, 0), A._terms)
+    return A.norm()
+
+
 def non_scalar_norm(m: Multivector) -> float:
-    """Coefficient norm sqrt(sum c*c) of m minus its scalar part: the
-    residual of a "square is scalar" check. The squares are unsigned, so
-    that in a mixed signature the metric signs of the residual's blades
-    cannot cancel (in G(4,1), A * ~A = 1 - 2*e1234 - 2*e1235 for A = e12 +
-    e34 + e35 has metric norm 0); in G(p,0) it is the metric norm of that
-    difference bit for bit. A sum that is not finite, or at most
-    _NULL_EPS while a term is nonzero, is taken again by ``_scaled_square``
-    over the same terms in G(dim,0), so that a residual past ~1.3e154 is
-    not inf and one below ~1e-150 is not 0."""
-    total = 0.0
-    for bits, c in m._terms.items():
-        if bits:
-            total += c * c
-    if _NULL_EPS < total < math.inf:
-        return math.sqrt(total)
-    rest = {b: c for b, c in m._terms.items() if b}
-    if not rest:
-        return 0.0
-    return _derived(Signature(m.sig.dim, 0), rest).norm()
+    """Coefficient norm of m minus its scalar part: the residual of a
+    "square is scalar" check (in G(4,1), A * ~A = 1 - 2*e1234 - 2*e1235 for
+    A = e12 + e34 + e35 has metric norm 0, but a residual of 2*sqrt(2))."""
+    rest = dict(m._terms)
+    rest.pop(0, None)
+    return coefficient_norm(_derived(m.sig, rest))
 
 
 def sandwich(V: Multivector, x: Multivector) -> Multivector:

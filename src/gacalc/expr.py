@@ -27,6 +27,7 @@ from .algebra import (
     Multivector,
     Signature,
     blade_bits,
+    coefficient_norm,
     cross,
     dual,
 )
@@ -578,8 +579,9 @@ def execute_statement(
     stmt: Statement, env: Environment
 ) -> Multivector | AssertOutcome | None:
     """Run one statement: None for let, a value for an expression,
-    an AssertOutcome for assert. An assert side with a coefficient that
-    is not finite raises EvalError."""
+    an AssertOutcome for assert, whose gap is the coefficient norm of the
+    difference of its sides. An assert side with a coefficient that is not
+    finite raises EvalError."""
     if isinstance(stmt, Let):
         env.bindings[stmt.name] = evaluate(stmt.expr, env)
         return None
@@ -587,7 +589,7 @@ def execute_statement(
         left = evaluate(stmt.left, env)
         right = evaluate(stmt.right, env)
         tol = env.tol if stmt.tol is None else stmt.tol
-        gap = (left - right).norm()
+        gap = coefficient_norm(left - right)
         if not math.isfinite(gap):
             # an inf or nan coefficient on either side makes the gap inf or
             # nan, which measures nothing; finite sides may still overflow it

@@ -7,7 +7,9 @@ projection and the rejection of the point's offset from the line's
 anchor, so they inherit the scale-safe direction of ``transforms``.
 Containment tests use a relative tolerance scaled by the input
 magnitudes with an absolute floor, so they behave sensibly for both
-tiny and large configurations.
+tiny and large configurations. They measure every size by the
+coefficient norm, whose squares do not cancel in a mixed signature;
+distances and the triangle identities use the metric norm.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from gacalc.algebra import (
     NonBladeError,
     SingularError,
     blade_square,
+    coefficient_norm,
     dot,
     dual,
     require_g3,
@@ -80,12 +83,15 @@ class Plane:
 
 
 def _wedges_to_nothing(offset: Multivector, blade: Multivector, tol: float) -> bool:
-    return (offset ^ blade).norm() <= tol * blade.norm() * max(1.0, offset.norm())
+    size = coefficient_norm(offset)
+    return coefficient_norm(offset ^ blade) <= tol * coefficient_norm(blade) * max(1.0, size)
 
 
 def line_contains(line: Line, x: Multivector, tol: float = DEFAULT_TOL) -> bool:
-    """Whether x lies on the line: the offset from the anchor has no
-    component wedging with the direction, up to a scaled tolerance."""
+    """Whether x lies on the line: the offset from the anchor wedges to
+    nothing with the direction, up to a tolerance scaled by both. Every
+    size is a ``coefficient_norm``, not the metric ``norm``, so a wedge
+    that is null in a mixed signature still counts as off the line."""
     require_vector("line_contains", x)
     return _wedges_to_nothing(x - line.point, line.direction, tol)
 
@@ -114,7 +120,8 @@ def distance_to_line(line: Line, p: Multivector) -> float:
 
 def plane_contains(plane: Plane, x: Multivector, tol: float = DEFAULT_TOL) -> bool:
     """Whether x lies in the plane: the offset wedges to nothing with
-    the spanning bivector, up to a scaled tolerance."""
+    the spanning bivector, up to a tolerance scaled by both, each size a
+    ``coefficient_norm`` as in ``line_contains``."""
     require_vector("plane_contains", x)
     return _wedges_to_nothing(x - plane.point, plane.bivector, tol)
 

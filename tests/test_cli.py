@@ -293,6 +293,23 @@ def test_run_reports_the_finite_gap_of_huge_sides(tmp_path, capsys):
     assert "2 assertions, 1 failures" in out
 
 
+def test_run_fails_every_null_difference(tmp_path, capsys):
+    # each difference is null in its signature, so its metric norm is 0
+    path = write_script(
+        tmp_path,
+        ":sig 4,1\nassert e4 + e5 ~ 0\nassert e12 ~ e12 + e14 + e15\n"
+        ":sig 1,1\nassert 1 ~ 1 + 1e+6*e1 + 1e+6*e2\n",
+    )
+    assert main(["run", path]) == 1
+    tail = " exceeds tolerance 9.9999999999999998e-13"
+    assert capsys.readouterr().out.splitlines() == [
+        f"{path}:2: assert failed: |lhs - rhs| = 1.4142135623730951{tail}",
+        f"{path}:3: assert failed: |lhs - rhs| = 1.4142135623730951{tail}",
+        f"{path}:5: assert failed: |lhs - rhs| = 1414213.562373095{tail}",
+        "3 assertions, 3 failures",
+    ]
+
+
 def test_run_counts_parse_and_eval_errors(tmp_path, capsys):
     path = write_script(tmp_path, "e1 +\nunbound\nassert e1 ~ e1\n")
     assert main(["run", path]) == 1

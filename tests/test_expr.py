@@ -15,6 +15,7 @@ from hypothesis import given, settings
 import gacalc.expr
 from conftest import NESTINGS, multivectors, wild_coeff
 from gacalc import G2, G3, Multivector, Signature, SingularError, basis_vectors
+from gacalc.algebra import coefficient_norm
 from gacalc.expr import (
     FUNCTIONS,
     MAX_DEPTH,
@@ -673,6 +674,58 @@ def test_assert_between_huge_finite_sides_reports_a_finite_gap():
         " exceeds tolerance 9.9999999999999998e-13"
     )
     assert run_line("assert 1e+300*e1 ~ 1e+300*e1", Environment()).failure is None
+
+
+# differences that are null in their signature: the metric norm reads 0
+NULL_ASSERTS = [
+    (Signature(4, 1), "assert e4 + e5 ~ 0", math.sqrt(2.0)),
+    (Signature(1, 1), "assert 1 ~ 1 + 1e+6*e1 + 1e+6*e2", math.sqrt(2e12)),
+    (Signature(4, 1), "assert e12 ~ e12 + e14 + e15", math.sqrt(2.0)),
+]
+
+
+@pytest.mark.parametrize("sig, line, gap", NULL_ASSERTS)
+def test_a_null_difference_fails_its_assert(sig, line, gap):
+    done = run_line(line, Environment(sig))
+    assert done.value.gap == gap
+    assert done.failure == (
+        f"assert failed: |lhs - rhs| = {gap:.17g} exceeds tolerance 9.9999999999999998e-13"
+    )
+
+
+# every signature up to dimension 6
+SIGNATURES_TO_6 = [Signature(p, dim - p) for dim in range(1, 7) for p in range(dim + 1)]
+
+
+@pytest.mark.parametrize("sig", SIGNATURES_TO_6, ids=str)
+def test_a_nonzero_difference_fails_its_assert_in_every_signature(sig):
+    """A value with a nonzero coefficient has a nonzero coefficient norm,
+    also when it is null, so ``assert x ~ 0 0`` fails, and so does
+    ``assert x ~ 0`` once a coefficient exceeds the tolerance."""
+    rng = random.Random(str(sig))
+    env = Environment(sig)
+    euclid = Signature(sig.dim, 0)
+    nulls = 0
+    for _ in range(40):
+        blades = rng.sample(range(1 << sig.dim), min(rng.randint(1, 4), 1 << sig.dim))
+        c = rng.choice([5e-324, 1e-200, 1e-13, 1.0, 1e200, 1e308])
+        # equal magnitudes, so that the metric squares of a mixed signature
+        # often cancel
+        x = Multivector(sig, {b: rng.choice((c, -c)) for b in blades})
+        nulls += x.norm() == 0.0
+        assert coefficient_norm(x) > 0.0
+        assert coefficient_norm(x) == Multivector(euclid, x.terms).norm()
+        env.bindings["x"] = x
+        assert run_line("assert x ~ 0 0", env).failure.startswith("assert failed:")
+        assert run_line("assert 0 ~ x 0", env).failure.startswith("assert failed:")
+        if c > env.tol:
+            assert run_line("assert x ~ 0", env).failure.startswith("assert failed:")
+            # is_close scales its bound by the operands' norms; past an
+            # overflow that bound is inf too
+            if coefficient_norm(x) < math.inf:
+                assert not x.is_close(0)
+    # the draws reach null values wherever a basis vector squares to -1
+    assert nulls > 0 if sig.q else nulls == 0
 
 
 def test_execute_let_returns_none():

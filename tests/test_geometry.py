@@ -153,6 +153,16 @@ def test_closest_point_properties(x0, a, p):
     assert abs(dot(p - foot, a)) <= 1e-12 * max(1.0, offset * a.norm())
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_null_offset_is_off_the_line(p):
+    # e1 ^ (e_p + e_(p+1)) has metric norm 0 in G(p,1), but it is not nothing
+    e = basis_vectors(Signature(p, 1))
+    line = Line(0 * e[0], e[0])
+    assert not line_contains(line, e[p - 1] + e[p])
+    assert not line_contains(line, 3 * e[0] + e[p - 1] + e[p])
+    assert line_contains(line, 3 * e[0])
+
+
 # -- planes ------------------------------------------------------------------
 
 
@@ -169,6 +179,13 @@ def test_plane_contains():
     plane = Plane(vec3(0, 0, 1), E1 ^ E2)  # z = 1 plane
     assert plane_contains(plane, vec3(5, -3, 1))
     assert not plane_contains(plane, vec3(0, 0, 1.01))
+
+
+def test_a_null_offset_is_off_the_plane():
+    e = basis_vectors(Signature(3, 1))
+    plane = Plane(0 * e[0], e[0] * e[1])
+    assert not plane_contains(plane, e[2] + e[3])
+    assert plane_contains(plane, 2 * e[0] - 5 * e[1])
 
 
 def test_plane_normal_frozen():
