@@ -21,12 +21,16 @@ then a*b = (-1)^popcount(b & mask) e_(a XOR b). Two fixed tables of
 hold the suffix parities of every blade and the parity of every bitmask,
 so the mask and the sign are one index each. ``^`` keeps the pairs with
 no shared factor and ``|`` those where one blade contains the other (a
-scalar only pairs with a scalar). A ``*`` with 2^dim / 2 term pairs,
-and a ``^`` or ``|`` whose right operand holds 2^dim / 2 blades, adds
-into a list of 2^dim floats indexed by result blade; there every left
-blade of ``^`` and ``|`` walks the right blades it can keep. Any other
-product adds into a dict. Both sum each result blade in left-term order,
-so only the key order of the result differs.
+scalar only pairs with a scalar). A ``*`` or ``|`` of two operands that
+hold every blade, up to dimension MAX_CAYLEY_DIM, sums each result blade
+as one C-level gather from the Cayley table laid out by result blade
+(``_gathered``), over ascending left blades. Any other ``*`` with 2^dim / 2
+term pairs, and ``^`` or ``|`` whose right operand holds 2^dim / 2 blades,
+adds into a list of 2^dim floats indexed by result blade; there every
+left blade of ``^`` and ``|`` walks the right blades it can keep. Any
+other product adds into a dict. The list and the dict sum each result
+blade in left-term order, so only the key order of the result differs;
+the gathers give the same bits whenever the left terms are ascending.
 
 Checks sit at the boundary. Values from outside enter through the
 public constructor ``Multivector(sig, terms)`` or its ``scalar``,
@@ -59,8 +63,9 @@ residual measures with it (``is_close``, ``non_scalar_norm``, the
 calculator's ``assert`` gap and the containment tests of ``geometry``).
 In G(p,0) the two give the same bits.
 
-The module imports only ``math``, ``collections.abc`` and ``types``, so
-that ``import gacalc``, which loads this module alone, stays cheap.
+The module imports only ``math``, ``collections.abc``, ``operator`` and
+``types``, so that ``import gacalc``, which loads this module alone, stays
+cheap.
 
 All operations are pure functions of immutable values, so instances can
 be shared freely across threads.
@@ -70,6 +75,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping
+from operator import itemgetter, mul, neg
 from types import MappingProxyType
 
 __all__ = [
@@ -437,19 +443,24 @@ class Multivector:
         return self
 
     def _product(self, rhs: "Multivector", kind: int) -> "Multivector":
-        """The product loops behind ``*``, ``^`` and ``|``. A list indexed
-        by result blade takes the sums of ``*`` when its term pairs fill
-        half of the 2^dim entries, and those of ``^`` and ``|`` when the
-        right operand holds half of the blades; a dict takes them every
-        other time."""
-        right = list(rhs._terms.items())
+        """The product loops behind ``*``, ``^`` and ``|``. ``*`` and ``|``
+        of two operands that hold every blade, up to MAX_CAYLEY_DIM, are
+        column gathers (``_gathered``). Otherwise a list indexed by result
+        blade takes the sums of ``*`` when its term pairs fill half of the
+        2^dim entries, and those of ``^`` and ``|`` when the right operand
+        holds half of the blades; a dict takes them every other time. The
+        test for full operands sits inside the list branches, so sparse
+        products never make it."""
         sig = self.sig
         p = sig.p
         size = 1 << sig.dim
-        n = len(right)
+        n = len(rhs._terms)
         suffix, parity = _SUFFIX, _PARITY
         if not kind and 2 * len(self._terms) * n >= size:
+            if n == size == len(self._terms) and sig.dim <= MAX_CAYLEY_DIM:
+                return _gathered(sig, self._terms, rhs._terms, kind)
             acc = [0.0] * size
+            right = list(rhs._terms.items())
             for a, ca in self._terms.items():
                 mask = suffix[a] ^ (a >> p << p)
                 signed = (ca, -ca)
@@ -464,6 +475,8 @@ class Multivector:
         # under ^ or a pseudoscalar under | takes that many
         outer = kind == _OUTER
         if kind and 2 * n >= size:
+            if n == size == len(self._terms) and not outer and sig.dim <= MAX_CAYLEY_DIM:
+                return _gathered(sig, self._terms, rhs._terms, kind)
             acc = [0.0] * size
             find = rhs._terms.get
             for a, ca in self._terms.items():
@@ -495,6 +508,7 @@ class Multivector:
                 elif 0 in rhs._terms:
                     acc[0] += ca * rhs._terms[0]
             return _derived(sig, {bits: c for bits, c in enumerate(acc) if c})
+        right = list(rhs._terms.items())
         out: dict[int, float] = {}
         get = out.get
         for a, ca in self._terms.items():
@@ -677,12 +691,25 @@ class Multivector:
         """Whether the difference is within abs_tol plus rel_tol scaled by
         the larger operand, each measured by ``coefficient_norm``, not the
         metric ``norm``: in a mixed signature a nonzero null difference
-        such as e4 + e5 in G(4,1) is not close to 0."""
+        such as e4 + e5 in G(4,1) is not close to 0. When a norm overflows,
+        all three are taken over self / 2^e and rhs / 2^e with abs_tol / 2^e,
+        e from ``_scaled_square``'s rule for their largest coefficient; an
+        infinite coefficient is close to nothing."""
         rhs = self._lift(other)
         if rhs is None:
             raise TypeError(f"cannot compare Multivector with {type(other).__name__}")
         gap = coefficient_norm(self - rhs)
-        return gap <= abs_tol + rel_tol * max(coefficient_norm(self), coefficient_norm(rhs))
+        size = max(coefficient_norm(self), coefficient_norm(rhs))
+        if gap == math.inf or size == math.inf:
+            big = max(map(abs, [*self._terms.values(), *rhs._terms.values()]))
+            if big == math.inf:
+                return False
+            e = math.frexp(big)[1]
+            lhs, rhs = _pow2_divided("is_close", self, e), _pow2_divided("is_close", rhs, e)
+            gap = coefficient_norm(lhs - rhs)
+            size = max(coefficient_norm(lhs), coefficient_norm(rhs))
+            abs_tol = math.ldexp(abs_tol, -e)
+        return gap <= abs_tol + rel_tol * size
 
     def __eq__(self, other):
         if isinstance(other, (int, float)):
@@ -923,8 +950,100 @@ def vector_inverse(a: Multivector) -> Multivector:
     return _pow2_divided("vector_inverse", a / s, e)
 
 
-# a Cayley table has 4**dim entries; dimension 6 keeps it at 64 x 64
+# a Cayley table has 4**dim entries; dimension 6 keeps it at 64 x 64. It
+# also bounds the column getters of _gathered, the same table by result blade
 MAX_CAYLEY_DIM = 6
+
+# (kind, p, dim) -> (getter of the 2^dim coefficients in ascending blade
+# order, one column getter per result blade); built on first use
+_COLUMNS: dict[tuple[int, int, int], tuple] = {}
+# dim -> for each result blade of | but the pseudoscalar, the getter of the
+# left blades it keeps; the same for every p
+_INNER_LEFT: dict[int, list[itemgetter]] = {}
+
+
+def _gathered(sig: Signature, left: dict, right: dict, kind: int) -> Multivector:
+    """``*`` or ``|`` of two operands that hold every blade of sig, dim at
+    most MAX_CAYLEY_DIM. With L the left and R the right coefficients in
+    ascending blade order and R2 = R + (-R), result blade k is the sum of
+    L[a] * R2[i] over the left blades a the product keeps, ascending, where
+    i = (a ^ k) + 2^dim when e_a e_(a^k) has sign -1: one C-level gather
+    and sum per blade. Summing over ascending a gives the bits of the pair
+    loop whenever the left operand's terms are ascending."""
+    key = (kind, sig.p, sig.dim)
+    table = _COLUMNS.get(key)
+    if table is None:
+        table = _COLUMNS[key] = _column_getters(kind, sig.p, sig.dim)
+    ascending, columns = table
+    L = ascending(left)
+    R = ascending(right)
+    R2 = R + tuple(map(neg, R))
+    if kind:
+        acc = [sum(map(mul, keep(L), col(R2)), 0.0) for keep, col in columns]
+    else:
+        acc = [sum(map(mul, L, col(R2)), 0.0) for col in columns]
+    return _derived(sig, {bits: c for bits, c in enumerate(acc) if c})
+
+
+def _column_getters(kind: int, p: int, dim: int) -> tuple:
+    """The table of ``_gathered``. Row k of the ``*`` table holds, at byte
+    a, the index (a ^ k) + 2^dim * sign(a, a ^ k), sign 1 for -1. The sign
+    is bilinear: sign(a, a ^ k) = parity(a & m(a)) ^ parity(a & t(k)), with
+    m = ``_sign_mask``. The first term is the sign of a*a. Bit i of t(k) is
+    set when an odd number of k's factors sit below position i, XORed with
+    k's factors at positions >= p; that is m(k) ^ k, with every bit flipped
+    when k has odd parity. So each row is a few operations on integers
+    that hold one byte per left blade, the parities of a & t coming from a
+    Gray-code walk over t. ``|`` gathers the same rows at the left blades
+    it keeps; its pseudoscalar keeps none and is always 0, so it has no
+    column (a getter of one index would return a scalar, not a tuple)."""
+    size = 1 << dim
+    full = size - 1
+
+    def spread(values) -> int:
+        # one byte per left blade a, a ascending from the lowest byte
+        return int.from_bytes(bytes(values), "little")
+
+    blades = range(size)
+    ident, ones = spread(blades), spread([1] * size)
+    square_sign = spread(_PARITY[a & _sign_mask(a, p)] for a in blades)
+    walsh = [0] * size  # byte a of walsh[t] is parity(a & t)
+    t = row = 0
+    for g in range(1, size):
+        i = (g & -g).bit_length() - 1  # the bit the Gray code flips at step g
+        t ^= 1 << i
+        row ^= (ident >> i) & ones  # byte a: bit i of a
+        walsh[t] = row
+    rows = []
+    for k in blades:
+        t = _sign_mask(k, p) ^ k ^ (full if _PARITY[k] else 0)
+        rows.append(((ident ^ k * ones) | (walsh[t] ^ square_sign) << dim).to_bytes(size, "little"))
+    if not kind:
+        return itemgetter(*blades), [itemgetter(*r) for r in rows]
+    left = _INNER_LEFT.get(dim)
+    if left is None:
+        left = _INNER_LEFT[dim] = [itemgetter(*a) for a in _inner_kept(dim)]
+    # zip drops the row of the pseudoscalar, which has no left getter
+    return itemgetter(*blades), [(keep, itemgetter(*keep(r))) for keep, r in zip(left, rows)]
+
+
+def _inner_kept(dim: int) -> list[list[int]]:
+    """For every result blade k but the pseudoscalar, the left blades a
+    that ``|`` pairs with b = a ^ k, ascending: for k = 0 every a; else
+    the nonzero a with a & k = 0 (a inside b) and a = k plus a nonzero
+    blade outside k (b inside a), both walked as the submasks s of k's
+    complement. Each list has at least two entries."""
+    full = (1 << dim) - 1
+    kept = [list(range(full + 1))]
+    for k in range(1, full):
+        rest = full ^ k
+        outside = []
+        s = rest
+        while s:
+            outside.append(s)
+            s = (s - 1) & rest
+        kept.append(sorted(outside + [k | s for s in outside]))
+    return kept
 
 
 def cayley_table(sig: Signature) -> list[list[tuple[int, int]]]:

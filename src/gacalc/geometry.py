@@ -14,6 +14,7 @@ distances and the triangle identities use the metric norm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from gacalc.algebra import (
@@ -83,8 +84,20 @@ class Plane:
 
 
 def _wedges_to_nothing(offset: Multivector, blade: Multivector, tol: float) -> bool:
-    size = coefficient_norm(offset)
-    return coefficient_norm(offset ^ blade) <= tol * coefficient_norm(blade) * max(1.0, size)
+    gap = coefficient_norm(offset ^ blade)
+    bound = tol * coefficient_norm(blade) * max(1.0, coefficient_norm(offset))
+    if gap == math.inf or bound == math.inf:
+        # a size overflowed: take offset / 2^e and blade / 2^f, each exponent
+        # from the largest coefficient as in the one rescale rule, and the
+        # floor 1 as 1 / 2^e; an infinite coefficient is on nothing
+        tops = [max(map(abs, v.terms.values()), default=0.0) for v in (offset, blade)]
+        if math.inf in tops:
+            return False
+        e, f = (math.frexp(top)[1] for top in tops)
+        offset, blade = offset * math.ldexp(1.0, -e), blade * math.ldexp(1.0, -f)
+        gap = coefficient_norm(offset ^ blade)
+        bound = tol * coefficient_norm(blade) * max(math.ldexp(1.0, -e), coefficient_norm(offset))
+    return gap <= bound
 
 
 def line_contains(line: Line, x: Multivector, tol: float = DEFAULT_TOL) -> bool:

@@ -640,6 +640,30 @@ def test_is_close_scales():
     assert not Multivector.scalar(G3, 0.0).is_close(1e-6)
 
 
+def test_is_close_past_an_overflowing_norm():
+    # the coefficient norms of x and of x - (-x) overflow to inf; compared
+    # over x / 2^e the verdicts are those of any finite scale
+    x = 1.5e308 * E1 + 1.5e308 * E2
+    assert not x.is_close(-x)
+    assert not x.is_close(0)
+    assert not Multivector.scalar(G3, 0.0).is_close(x)
+    assert x.is_close(x)
+    assert x.is_close(x * (1.0 - 1e-15))
+    assert not x.is_close(x * (1.0 - 1e-9))
+    assert not x.is_close(1.5e308 * E1)
+    # the overflowing norm is the gap alone: 1e308 - (-1e308) is inf
+    y = Multivector.scalar(G3, 1e308)
+    assert not y.is_close(-y)
+    assert y.is_close(-y, rel_tol=2.5)
+    # abs_tol is scaled with the operands, so a large one still counts
+    assert x.is_close(x * (1.0 - 1e-9), abs_tol=1e300)
+    # an infinite coefficient is close to nothing, itself included
+    inf = Multivector.scalar(G3, math.inf)
+    assert not inf.is_close(inf)
+    assert not inf.is_close(0)
+    assert not (inf * E1).is_close(inf * E1 + E2)
+
+
 def test_even_subalgebra_of_g2_behaves_like_complex_numbers():
     i = Multivector.blade(G2, 0b11)
     for zr, zi, wr, wi in [(1.0, 2.0, -0.5, 3.0), (0.25, -1.5, 2.0, 0.125)]:

@@ -720,10 +720,10 @@ def test_a_nonzero_difference_fails_its_assert_in_every_signature(sig):
         assert run_line("assert 0 ~ x 0", env).failure.startswith("assert failed:")
         if c > env.tol:
             assert run_line("assert x ~ 0", env).failure.startswith("assert failed:")
-            # is_close scales its bound by the operands' norms; past an
-            # overflow that bound is inf too
-            if coefficient_norm(x) < math.inf:
-                assert not x.is_close(0)
+            # also where the coefficient norm of x or of x - (-x) overflows
+            assert not x.is_close(0)
+            assert not x.is_close(-x)
+        assert x.is_close(x)
     # the draws reach null values wherever a basis vector squares to -1
     assert nulls > 0 if sig.q else nulls == 0
 

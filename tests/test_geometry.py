@@ -163,6 +163,24 @@ def test_a_null_offset_is_off_the_line(p):
     assert line_contains(line, 3 * e[0])
 
 
+def test_containment_past_an_overflowing_norm():
+    # the offset's coefficient norm, or the wedge's, overflows to inf, so
+    # the bound and the gap are compared over offset / 2^e and blade / 2^f
+    x = 1.5e308 * E1 + 1.5e308 * E2
+    assert not line_contains(Line(0 * E1, E1), x)
+    assert line_contains(Line(0 * E1, E1 + E2), x)
+    assert line_contains(Line(0 * E1, 1e-300 * (E1 + E2)), x)
+    assert not line_contains(Line(0 * E1, 1e200 * E1), 1e200 * E2)
+    assert line_contains(Line(0 * E1, 1e200 * E1), 1e300 * E1)
+    assert plane_contains(Plane(0 * E1, E1 ^ E2), x)
+    assert not plane_contains(Plane(0 * E1, E1 ^ E3), x)
+    assert not plane_contains(Plane(0 * E1, 1e150 * (E1 ^ E3)), 1e200 * E2)
+    assert plane_contains(Plane(0 * E1, 1e150 * (E1 ^ E3)), 1e300 * E3)
+    # an infinite coefficient lies on nothing
+    assert not line_contains(Line(0 * E1, E1), math.inf * E1)
+    assert not line_contains(Line(0 * E1, E1), math.inf * E2)
+
+
 # -- planes ------------------------------------------------------------------
 
 

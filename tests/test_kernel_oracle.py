@@ -19,7 +19,8 @@ import random
 
 import pytest
 
-from gacalc import G2, Multivector, Signature, blade_product
+from gacalc import G2, Multivector, Signature, algebra, blade_product
+from gacalc.algebra import MAX_CAYLEY_DIM, coefficient_norm
 
 from oracles import blade_product_oracle, bits_of, indices_of, metric_list
 
@@ -278,3 +279,112 @@ def test_small_graded_products_take_the_dict_until_the_right_operand_is_half_den
         assert takes_list(sig, op, left, right) == dense, (op, left, right)
         assert got == [(b, want[b]) for b in (sorted(want) if dense else want)], (op, left)
         assert len(want) == 1 or list(want) != sorted(want), (op, left)
+
+
+# -- * and | of full operands up to MAX_CAYLEY_DIM: the column gathers -------
+
+FULL = {"*": (operator.mul, 0), "|": (operator.or_, 2)}  # op -> (product, kind)
+# Python 3.12 made sum() compensate float sums; before it, sum() adds in order
+SUM_IN_ORDER = sum([1e100, 1.0, -1e100], 0.0) == 0.0
+
+
+def full_operand(rng: random.Random, sig: Signature, coeffs=None) -> dict[int, float]:
+    """Every blade, keys ascending; coefficients of random bits, or with
+    one in ten drawn from coeffs."""
+    return {
+        b: rng.choice(coeffs) if coeffs and rng.random() < 0.1 else rng.uniform(-2.0, 2.0)
+        for b in range(1 << sig.dim)
+    }
+
+
+@pytest.mark.parametrize("sig", ALL_SMALL, ids=str)
+@pytest.mark.parametrize("coeffs", [None, NON_FINITE], ids=["finite", "non-finite"])
+def test_full_operands_gather_the_pair_loop_bit_for_bit(sig, coeffs):
+    # expected() adds each blade's pairs in the left operand's term order,
+    # as the pair loop does; with ascending left terms the columns add in
+    # the same order, so where sum() adds in order every bit agrees (repr
+    # also compares nan with nan), and the keys ascend
+    rng = random.Random(f"columns:{sig}:{coeffs is None}")
+    x, y = full_operand(rng, sig, coeffs), full_operand(rng, sig, coeffs)
+    for op, (product, kind) in FULL.items():
+        got = product(Multivector(sig, x), Multivector(sig, y)).terms
+        want = sorted(expected(sig, op, x, y).items())
+        if SUM_IN_ORDER:
+            assert repr(list(got.items())) == repr(want), op
+        else:
+            assert list(got) == [b for b, _ in want], op
+            for (_, c), (_, w) in zip(got.items(), want):
+                if math.isfinite(w):
+                    assert math.isclose(c, w, rel_tol=1e-12, abs_tol=1e-12), op
+                else:
+                    assert repr(c) == repr(w), op
+        assert (kind, sig.p, sig.dim) in algebra._COLUMNS, op
+
+
+@pytest.mark.parametrize(
+    "sig", [Signature(6, 0), Signature(3, 3), Signature(0, 6), Signature(4, 1), Signature(2, 1)],
+    ids=str,
+)
+def test_full_operands_in_any_order_sum_over_ascending_left_blades(sig):
+    # inserted in shuffled order, the left terms are no longer ascending:
+    # the result may differ from the pair loop's in the last bits, and it is
+    # bit for bit the sum over ascending left blades
+    rng = random.Random(f"shuffled:{sig}")
+    for _ in range(3):
+        x, y = full_operand(rng, sig), full_operand(rng, sig)
+        shuffled = list(x.items())
+        rng.shuffle(shuffled)
+        left = Multivector(sig, dict(shuffled))
+        for op, (product, _) in FULL.items():
+            got = product(left, Multivector(sig, y))
+            if SUM_IN_ORDER:
+                assert dict(got.terms) == expected(sig, op, x, y), op
+            want = Multivector(sig, expected(sig, op, dict(shuffled), y))
+            assert coefficient_norm(got - want) <= 1e-12 * coefficient_norm(want), op
+
+
+def test_only_full_operands_up_to_the_cayley_limit_gather():
+    rng = random.Random("no table")
+    # dimension 7 is past MAX_CAYLEY_DIM: no table, whatever the density
+    sig7 = Signature(7, 0)
+    x7, y7 = (Multivector(sig7, full_operand(rng, sig7)) for _ in range(2))
+    for product in OPS.values():
+        product(x7, y7)
+    assert MAX_CAYLEY_DIM == 6
+    assert not [key for key in algebra._COLUMNS if key[2] > MAX_CAYLEY_DIM]
+    # a dimension-6 operand that misses one blade takes the pair loop on
+    # either side, and ^ takes its submask walk even on full operands
+    sig = Signature(4, 2)
+    for kind in (0, 1, 2):
+        algebra._COLUMNS.pop((kind, sig.p, sig.dim), None)
+    x, y = full_operand(rng, sig), full_operand(rng, sig)
+    del x[rng.randrange(1 << sig.dim)]
+    for op, product in OPS.items():
+        for left, right in ((x, y), (y, x)):
+            got = dict(product(Multivector(sig, left), Multivector(sig, right)).terms)
+            want = expected(sig, op, left, right)
+            assert got == want and list(got) == sorted(want), op
+    OPS["^"](Multivector(sig, y), Multivector(sig, y))
+    assert not [key for key in algebra._COLUMNS if key[1:] == (sig.p, sig.dim)]
+
+
+@pytest.mark.parametrize("sig", [Signature(1, 0), Signature(0, 1)], ids=str)
+def test_full_operands_of_dimension_1(sig):
+    # two columns of two blades each for *, and for | one scalar column
+    # (the pseudoscalar e1 keeps no pair)
+    square = 1.0 if sig.p else -1.0
+    x, y = Multivector(sig, {0: 2.0, 1: 3.0}), Multivector(sig, {0: 5.0, 1: 7.0})
+    assert dict((x * y).terms) == {0: 10.0 + 21.0 * square, 1: 29.0}
+    assert dict((x | y).terms) == {0: 10.0 + 21.0 * square}
+
+
+@pytest.mark.parametrize("sig", ALL_SMALL, ids=str)
+def test_inner_of_full_operands_has_no_pseudoscalar_part(sig):
+    # a pseudoscalar result needs a | b with b = a ^ I, but then neither
+    # blade holds the other unless one is the scalar, which | pairs only
+    # with the scalar: every other blade appears
+    size = 1 << sig.dim
+    ones = Multivector(sig, {b: 1.0 for b in range(size)})
+    got = (ones | ones).terms
+    assert size - 1 not in got
+    assert dict(got) == expected(sig, "|", dict(ones.terms), dict(ones.terms))

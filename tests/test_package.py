@@ -43,8 +43,9 @@ CLI_NAMES = ("emit_cayley", "main", "multivector_json", "run_script")
 
 # -- import footprint --------------------------------------------------------
 
-# runs the three products and the inverse, then touches one transforms name;
-# prints the modules each step added to sys.modules
+# runs the three products and the inverse, then * and | of a full G(5,0)
+# value (the column gathers), then touches one transforms name; prints the
+# modules each step added to sys.modules
 FOOTPRINT = """
 import sys
 before = set(sys.modules)
@@ -52,7 +53,10 @@ import gacalc
 sig = gacalc.Signature(4, 1)
 a = gacalc.Multivector.vector(sig, [1, 2, 3, 4, 0.5])
 b = gacalc.Multivector.vector(sig, [0, 1, -1, 2, 3])
+full = gacalc.Multivector(gacalc.Signature(5, 0), {bits: bits + 1.0 for bits in range(32)})
 for value in (a * b, a ^ b, a | b, (a * b).inverse(), a.inverse(), gacalc.G3.dim):
+    pass
+for value in (full * full, full | full):
     pass
 kernel = sorted(set(sys.modules) - before)
 gacalc.rotate
