@@ -223,15 +223,34 @@ def blade_bits(indices: Iterable[int]) -> int:
     return bits
 
 
+# blade bitmask -> name, filled by blade_name as names are asked for
+_BLADE_NAMES: dict[int, str] = {}
+
+
 def blade_name(bits: int) -> str:
-    """Canonical blade name: "1" for the scalar, else e-prefixed indices."""
+    """Canonical blade name: "1" for the scalar, else e-prefixed indices,
+    one digit each up to e9 ("e13") and comma-separated in brackets once
+    an index passes 9 ("e[1,10]").
+
+    Each name of a blade below 2^MAX_DIM is remembered on first use, so
+    the memo holds at most 4096 entries and printing a term looks its
+    name up."""
+    name = _BLADE_NAMES.get(bits)
+    if name is not None:
+        return name
     if bits == 0:
-        return "1"
-    idx = blade_indices(bits)
-    if idx[-1] <= 9:
-        return "e" + "".join(str(i) for i in idx)
-    # indices past 9 would be ambiguous as a digit string
-    return "e[" + ",".join(str(i) for i in idx) + "]"
+        name = "1"
+    elif 0 < bits < 1 << 9:
+        # the name of the blade without its top factor, plus that digit
+        top = bits.bit_length()
+        rest = bits ^ (1 << (top - 1))
+        name = (blade_name(rest) if rest else "e") + str(top)
+    else:
+        # indices past 9 would be ambiguous as a digit string
+        name = f"e[{','.join(map(str, blade_indices(bits)))}]"
+    if bits < 1 << MAX_DIM:
+        _BLADE_NAMES[bits] = name
+    return name
 
 
 def _check_bits(sig: Signature, bits: int) -> None:

@@ -10,6 +10,13 @@ Statements come in three forms:
 Precedence, tightest first: postfix ``~`` (reverse) and function calls,
 unary ``-``, then ``^`` and ``.`` on one tier (left-associative), then
 ``*`` and ``/``, then ``+`` and ``-``.  Parentheses override.
+
+Blade names are one table, ``_BLADES``: the 511 canonical names of the
+language (indices 1-9, strictly ascending, as ``algebra.blade_name``
+writes them) and their bitmasks. The lexer, the parser and the evaluator
+all read it, so a name is a blade exactly when it is in the table. A
+literal term ``c*eI`` or ``eI*c`` evaluates straight to its one term,
+which is what the product of the two would give, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .algebra import (
     AlgebraError,
     Multivector,
     Signature,
-    blade_bits,
+    blade_name,
     coefficient_norm,
     cross,
     dual,
@@ -125,6 +132,11 @@ _SINGLE = {
 }
 _KEYWORDS = frozenset({"let", "assert"})
 
+# blade names use one digit per basis vector, which caps the dimension
+MAX_LANGUAGE_DIM = 9
+# canonical blade name -> bitmask: the one table of the language's blades
+_BLADES = {blade_name(bits): bits for bits in range(1, 1 << MAX_LANGUAGE_DIM)}
+
 
 def _check_blade_ident(lexeme: str, start: int, end: int) -> None:
     digits = lexeme[1:]
@@ -155,7 +167,8 @@ def tokenize(text: str) -> list[Token]:
         elif c == "_" or "a" <= c <= "z" or "A" <= c <= "Z":
             i = _IDENT_RE.match(text, start).end()
             lexeme = text[start:i]
-            if _BLADE_RE.fullmatch(lexeme):
+            # a blade-shaped name that is not in the table is a bad blade
+            if c == "e" and lexeme not in _BLADES and _BLADE_RE.fullmatch(lexeme):
                 _check_blade_ident(lexeme, start, i)
             tokens.append(Token("ident", lexeme, start, i))
         else:
@@ -362,7 +375,7 @@ class _Parser:
             name = name_tok.lexeme
             if name in _KEYWORDS:
                 raise ParseError(f"'{name}' is a reserved word", name_tok.start, name_tok.end)
-            if _BLADE_RE.fullmatch(name):
+            if name in _BLADES:
                 raise ParseError(
                     f"cannot bind basis blade '{name}'", name_tok.start, name_tok.end
                 )
@@ -433,14 +446,17 @@ class _Parser:
         (the call and its parentheses)."""
         tok = self.advance()
         if tok.kind == "number":
-            return Num(float(tok.lexeme)), 0
+            value = float(tok.lexeme)
+            if not math.isfinite(value):
+                raise ParseError(f"number {tok.lexeme} overflows to inf", tok.start, tok.end)
+            return Num(value), 0
         if tok.kind != "ident":
             raise _unexpected(tok, "an expression")
         name = tok.lexeme
         if name in _KEYWORDS:
             raise ParseError(f"reserved word '{name}' cannot appear here", tok.start, tok.end)
         if self.peek().lexeme != "(":
-            return (BladeRef(name) if _BLADE_RE.fullmatch(name) else Var(name)), 0
+            return (BladeRef(name) if name in _BLADES else Var(name)), 0
         function = FUNCTIONS.get(name)
         if function is None:
             raise ParseError(f"unknown function '{name}'", tok.start, tok.end)
@@ -483,10 +499,6 @@ def parse_statement(text: str) -> Statement:
 
 
 # -- evaluation ----------------------------------------------------------
-
-
-# blade names use one digit per basis vector, which caps the dimension
-MAX_LANGUAGE_DIM = 9
 
 
 def parse_signature(text: str) -> Signature:
@@ -532,8 +544,14 @@ class Environment:
         self.bindings.clear()
 
 
-# blade name -> bitmask; the lexer admits at most 511 blade names
-_BLADE_BITS: dict[str, int] = {}
+def _term(name: str, coeff: float, env: Environment) -> Multivector:
+    """The term coeff*name, for a blade name of the table."""
+    bits = _BLADES.get(name)
+    if bits is None:
+        raise EvalError(f"unknown blade '{name}'")
+    if bits >> env.sig.dim:
+        raise EvalError(f"blade '{name}' does not fit in {env.sig}")
+    return Multivector._trusted(env.sig, {bits: coeff})
 
 
 def evaluate(node: AstNode, env: Environment) -> Multivector:
@@ -543,7 +561,15 @@ def evaluate(node: AstNode, env: Environment) -> Multivector:
     # each call
     t = type(node)
     if t is BinOp:
-        return _BINARY[node.op][1](evaluate(node.left, env), evaluate(node.right, env))
+        left, right = node.left, node.right
+        if node.op == "*":
+            # a literal term c*eI or eI*c is its one term: the product's
+            # 0.0 + c*1.0 is c, and a zero c drops either way
+            if type(left) is Num and type(right) is BladeRef:
+                return _term(right.name, left.value, env)
+            if type(left) is BladeRef and type(right) is Num:
+                return _term(left.name, right.value, env)
+        return _BINARY[node.op][1](evaluate(left, env), evaluate(right, env))
     if t is Num:
         return Multivector._trusted(env.sig, {0: node.value})
     if t is Var:
@@ -552,12 +578,7 @@ def evaluate(node: AstNode, env: Environment) -> Multivector:
         except KeyError:
             raise EvalError(f"unbound variable '{node.name}'") from None
     if t is BladeRef:
-        bits = _BLADE_BITS.get(node.name)
-        if bits is None:
-            bits = _BLADE_BITS[node.name] = blade_bits(int(ch) for ch in node.name[1:])
-        if bits >> env.sig.dim:
-            raise EvalError(f"blade '{node.name}' does not fit in {env.sig}")
-        return Multivector._trusted(env.sig, {bits: 1.0})
+        return _term(node.name, 1.0, env)
     if t is Neg:
         return -evaluate(node.operand, env)
     if t is Rev:

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+import gacalc.algebra
 from gacalc import (
+    MAX_DIM,
     AlgebraError,
     G1,
     G2,
@@ -85,6 +87,24 @@ def test_blade_helpers():
     assert blade_name(0b011) == "e12"
     with pytest.raises(AlgebraError):
         blade_bits((2, 2))
+
+
+def test_blade_names_of_every_mask_and_their_memo():
+    def spelled_out(bits):
+        # the names as the indices spell them, built without the memo
+        if bits == 0:
+            return "1"
+        idx = blade_indices(bits)
+        if idx[-1] <= 9:
+            return "e" + "".join(str(i) for i in idx)
+        return "e[" + ",".join(str(i) for i in idx) + "]"
+
+    masks = range(1 << MAX_DIM)
+    assert [blade_name(bits) for bits in reversed(masks)][::-1] == list(map(spelled_out, masks))
+    assert [blade_name(bits) for bits in masks] == list(map(spelled_out, masks))
+    assert blade_name(0b1000000001) == "e[1,10]"
+    assert blade_name(1 << 20) == "e[21]"  # past every signature: named, not kept
+    assert len(gacalc.algebra._BLADE_NAMES) <= 1 << MAX_DIM
 
 
 def test_blade_product_known_cases():

@@ -53,6 +53,21 @@ def test_eval_lex_error_exits_2(capsys):
     assert main(["eval", "e21"]) == 2
 
 
+def test_eval_overflowing_literal_exits_2(capsys):
+    assert main(["eval", "1e+400*e1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ga: number 1e+400 overflows to inf (at 0..6)\n"
+
+
+def test_run_counts_an_overflowing_literal_as_a_failure(tmp_path, capsys):
+    path = write_script(tmp_path, "let a = 2*1e+400\nassert e1 ~ e1\n")
+    assert main(["run", path]) == 1
+    out = capsys.readouterr().out
+    assert f"{path}:1: error: number 1e+400 overflows to inf (at 10..16)" in out
+    assert "inf*" not in out
+
+
 def test_eval_evaluation_error_exits_1(capsys):
     assert main(["eval", "1/(e1 + e1*e2)"]) == 1
     assert "ga:" in capsys.readouterr().err
@@ -60,7 +75,7 @@ def test_eval_evaluation_error_exits_1(capsys):
 
 
 def test_eval_non_finite_exp_exits_1(capsys):
-    assert main(["eval", "exp(1e+400*e12)"]) == 1
+    assert main(["eval", "exp(1e+300*1e+300*e12)"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("ga: ") and "not finite" in err
 
@@ -73,7 +88,7 @@ def test_eval_exp_overflow_exits_1(capsys):
     assert "inf" not in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("selector", ["1e+400", "1e+400 - 1e+400"])
+@pytest.mark.parametrize("selector", ["1e+300*1e+300", "1e+300*1e+300 - 1e+300*1e+300"])
 def test_eval_non_finite_grade_selector_exits_1(capsys, selector):
     assert main(["eval", f"grade(e1, {selector})"]) == 1
     captured = capsys.readouterr()
@@ -156,7 +171,7 @@ def test_repl_piped_session(capsys, monkeypatch):
 
 
 def test_repl_survives_non_finite_exp(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("exp(1e+400*e12)\ne1*e2\n"))
+    monkeypatch.setattr("sys.stdin", io.StringIO("exp(1e+300*1e+300*e12)\ne1*e2\n"))
     assert main(["repl"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("error: ") and out.endswith("\n1*e12\n")
@@ -170,7 +185,7 @@ def test_repl_survives_exp_overflow(capsys, monkeypatch):
 
 
 def test_repl_survives_non_finite_grade_selector(capsys, monkeypatch):
-    lines = "grade(e1, 1e+400)\ngrade(e1, 1e+400 - 1e+400)\ne1*e2\n"
+    lines = "grade(e1, 1e+300*1e+300)\ngrade(e1, 1e+300*1e+300 - 1e+300*1e+300)\ne1*e2\n"
     monkeypatch.setattr("sys.stdin", io.StringIO(lines))
     assert main(["repl"]) == 0
     assert capsys.readouterr().out == (
@@ -385,7 +400,7 @@ def test_run_counts_a_non_finite_assert_tolerance_as_a_failure(tmp_path, capsys)
 
 
 def test_run_reports_an_assert_with_a_non_finite_side(tmp_path, capsys):
-    path = write_script(tmp_path, "assert 1e+400*e1 ~ 1e+400*e1\nassert e1 ~ e1\n")
+    path = write_script(tmp_path, "assert 1e+300*1e+300*e1 ~ 1e+300*1e+300*e1\nassert e1 ~ e1\n")
     assert main(["run", path]) == 1
     out = capsys.readouterr().out
     assert f"{path}:1: error: assert: the left side is not finite (inf*e1)" in out

@@ -7,6 +7,7 @@ import io
 import math
 import random
 import re
+import struct
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,16 @@ from hypothesis import given, settings
 
 import gacalc.expr
 from conftest import NESTINGS, multivectors, wild_coeff
-from gacalc import G2, G3, Multivector, Signature, SingularError, basis_vectors
+from gacalc import (
+    G2,
+    G3,
+    Multivector,
+    Signature,
+    SingularError,
+    basis_vectors,
+    blade_bits,
+    blade_name,
+)
 from gacalc.algebra import coefficient_norm
 from gacalc.expr import (
     FUNCTIONS,
@@ -123,6 +133,36 @@ def test_tokenize_rejects_unknown_characters():
 
 def test_tokenize_long_ascending_blade():
     assert tokenize("e123456789")[0].lexeme == "e123456789"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("e0", "blade index 0 in 'e0'; indices run from 1 (at 0..2)"),
+        ("e10", "blade index 0 in 'e10'; indices run from 1 (at 0..3)"),
+        ("e21", "non-canonical blade 'e21'; indices must strictly ascend (at 0..3)"),
+        ("e11", "non-canonical blade 'e11'; indices must strictly ascend (at 0..3)"),
+        ("x + 2*e98", "non-canonical blade 'e98'; indices must strictly ascend (at 6..9)"),
+        ("let e132 = 1", "non-canonical blade 'e132'; indices must strictly ascend (at 4..8)"),
+    ],
+)
+def test_bad_blade_names_keep_their_lexer_errors(text, message):
+    with pytest.raises(LexError) as err:
+        tokenize(text)
+    assert str(err.value) == message
+
+
+def test_blade_table_holds_the_canonical_names():
+    table = gacalc.expr._BLADES
+    assert len(table) == (1 << MAX_LANGUAGE_DIM) - 1
+    for name, bits in table.items():
+        assert blade_name(bits) == name
+        assert blade_bits(int(digit) for digit in name[1:]) == bits
+        assert [t.kind for t in tokenize(name)] == ["ident"]
+        assert parse_expression(name) == BladeRef(name)
+    # names that only look like blades are variables
+    for name in ["e", "e1x", "e_1", "E1", "ex"]:
+        assert parse_expression(name) == Var(name)
 
 
 # -- parser --------------------------------------------------------------
@@ -536,7 +576,7 @@ def test_eval_grade_selector_must_be_integer():
         run("grade(e1, e2)")
 
 
-@pytest.mark.parametrize("selector", ["1e+400", "1e+400 - 1e+400"])
+@pytest.mark.parametrize("selector", ["1e+300*1e+300", "1e+300*1e+300 - 1e+300*1e+300"])
 def test_eval_grade_selector_must_be_finite(selector):
     done = run_line(f"grade(e1, {selector})", Environment())
     assert done.error == "grade() selector must be a finite integer"
@@ -574,10 +614,74 @@ def test_literals_match_the_checked_constructor_bit_for_bit():
     for mask in range(1, 1 << sig.dim):
         name = "e" + "".join(str(i + 1) for i in range(sig.dim) if mask >> i & 1)
         assert bits(evaluate(BladeRef(name), env)) == bits(Multivector.blade(sig, mask))
-    for lexeme in ["0", "0.0", "0e+5", "1", "2.5", "1e-320", "1e+308", "1e+400"]:
+    for lexeme in ["0", "0.0", "0e+5", "1", "2.5", "1e-320", "1e-400", "1.7976931348623157e+308"]:
         value = evaluate(parse_expression(lexeme), env)
         assert bits(value) == bits(Multivector.scalar(sig, float(lexeme)))
         assert 0.0 not in value.terms.values()
+    # a literal that overflows is rejected at its span, not read as inf
+    with pytest.raises(ParseError) as err:
+        parse_expression("1e+400")
+    assert err.value.span == (0, 6)
+
+
+LITERAL_COEFFS = [0.0, -0.0, 5e-324, -2.5, 1e308, math.inf, math.nan]
+
+
+def _terms_in_order(value):
+    return [(bits, struct.pack("<d", c)) for bits, c in value.terms.items()]
+
+
+@pytest.mark.parametrize("dim", range(1, MAX_LANGUAGE_DIM + 1))
+def test_literal_terms_match_the_product_bit_for_bit(dim):
+    env = Environment(sig=Signature(dim - dim // 2, dim // 2))
+    for name, bits in gacalc.expr._BLADES.items():
+        if bits >> dim:
+            continue
+        blade = evaluate(BladeRef(name), env)
+        for c in LITERAL_COEFFS:
+            num = Num(c)
+            product = evaluate(num, env) * blade
+            flipped = blade * evaluate(num, env)
+            term = evaluate(BinOp("*", num, BladeRef(name)), env)
+            assert _terms_in_order(term) == _terms_in_order(product)
+            assert _terms_in_order(evaluate(BinOp("*", BladeRef(name), num), env)) == (
+                _terms_in_order(flipped)
+            )
+            assert term.sig is env.sig
+
+
+def test_parsed_literal_terms_print_as_written():
+    for text in ["2.5*e13", "e13*2.5", "0*e1", "5e-324*e123", "1e-400*e2"]:
+        left, right = text.split("*")
+        assert str(run(text)) == str(run(left) * run(right))
+    assert str(run("2.5*e13 - e2*3")) == "-3*e2 + 2.5*e13"
+
+
+@pytest.mark.parametrize("text", ["2*e4", "e4*2", "e4", "0*e4"])
+def test_literal_term_outside_the_signature_names_its_blade(text):
+    with pytest.raises(EvalError) as err:
+        run(text)
+    assert str(err.value) == "blade 'e4' does not fit in G(3,0)"
+
+
+@pytest.mark.parametrize("name", ["e21", "e11", "e0", "ex", "e", "e[1,10]", "x", ""])
+def test_a_hand_built_blade_outside_the_table_is_an_eval_error(name):
+    for node in (BladeRef(name), BinOp("*", Num(2.0), BladeRef(name)),
+                 BinOp("*", BladeRef(name), Num(2.0))):
+        with pytest.raises(EvalError) as err:
+            evaluate(node, Environment())
+        assert str(err.value) == f"unknown blade '{name}'"
+
+
+@pytest.mark.parametrize(
+    "line, span",
+    [("1e+400*e1", (0, 6)), ("e1 + 2*1E+309", (7, 13)), ("let a = -1e+999", (9, 15))],
+)
+def test_an_overflowing_literal_is_a_parse_error_at_its_span(line, span):
+    lexeme = line[span[0]:span[1]]
+    done = run_line(line, Environment())
+    assert done.statement is None
+    assert done.error == f"number {lexeme} overflows to inf (at {span[0]}..{span[1]})"
 
 
 def test_eval_division_errors_propagate():
@@ -611,10 +715,20 @@ def test_execute_assert_statement():
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("assert 1e+400*e1 ~ 1e+400*e1", "assert: the left side is not finite (inf*e1)"),
-        ("assert 1e+400*e1 ~ e1 1e+300", "assert: the left side is not finite (inf*e1)"),
-        ("assert e1 ~ 1e+400*e1 - 1e+400*e1", "assert: the right side is not finite (nan*e1)"),
-        ("assert e1 + 1e+400*e2 ~ e1", "assert: the left side is not finite (1*e1 + inf*e2)"),
+        # 1e+300*1e+300 overflows in evaluation; a 1e+400 literal is a ParseError
+        (
+            "assert 1e+300*1e+300*e1 ~ 1e+300*1e+300*e1",
+            "assert: the left side is not finite (inf*e1)",
+        ),
+        ("assert 1e+300*1e+300*e1 ~ e1 1e+300", "assert: the left side is not finite (inf*e1)"),
+        (
+            "assert e1 ~ 1e+300*1e+300*e1 - 1e+300*1e+300*e1",
+            "assert: the right side is not finite (nan*e1)",
+        ),
+        (
+            "assert e1 + 1e+300*1e+300*e2 ~ e1",
+            "assert: the left side is not finite (1*e1 + inf*e2)",
+        ),
     ],
 )
 def test_assert_with_a_non_finite_side_is_an_eval_error(line, message):
@@ -832,7 +946,7 @@ def test_repl_goes_on_after_a_non_finite_assert_tolerance():
 
 
 def test_repl_goes_on_after_an_assert_with_a_non_finite_side():
-    code, out = repl("assert 1e+400*e1 ~ 1e+400*e1\nassert e1 ~ e1\ne2\n")
+    code, out = repl("assert 1e+300*1e+300*e1 ~ 1e+300*1e+300*e1\nassert e1 ~ e1\ne2\n")
     assert code == 0
     assert out.splitlines() == [
         "error: assert: the left side is not finite (inf*e1)",
